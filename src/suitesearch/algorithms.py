@@ -228,7 +228,7 @@ def run_mosa(problem, config: MosaConfig, budget: Budget, rng) -> SearchResult:
         trace.append(archive.covered_count)
         population.append((test, h))
 
-    ranks, crowding = _mosa_rank(population, _uncovered_ids(archive, z))
+    ranks = _mosa_sort(population, _uncovered_ids(archive, z))[1]
 
     while budget.has_remaining() and archive.covered_count < z:
         offspring: list = []
@@ -259,11 +259,10 @@ def run_mosa(problem, config: MosaConfig, budget: Budget, rng) -> SearchResult:
                 offspring.append((child, h))
         combined = population + offspring
         uncovered = _uncovered_ids(archive, z)
-        order, ranks_all, crowding_all = _mosa_sort(combined, uncovered)
+        order, ranks_all = _mosa_sort(combined, uncovered)
         keep = order[: config.population_size]
         population = [combined[i] for i in keep]
         ranks = [ranks_all[i] for i in keep]
-        crowding = [crowding_all[i] for i in keep]
     return _finish(archive, trace, budget)
 
 
@@ -297,23 +296,17 @@ def _test_crossover(t1: TestCase, t2: TestCase, rng):
     )
 
 
-def _mosa_rank(population, uncovered):
-    order, ranks, crowding = _mosa_sort(population, uncovered)
-    return ranks, crowding
-
-
 def _mosa_sort(population, uncovered):
     """Preference-then-Pareto ranking.
 
     Front 0 holds, per uncovered target, every individual attaining the
     population-wide best non-zero heuristic for it, ties included. The
     remainder is ranked by non-dominated sorting over the uncovered
-    objectives; crowding distance breaks ties within a front. Returns
-    (selection order, rank per individual, crowding per individual).
+    objectives; crowding distance breaks ties within a front, and equal
+    distances keep population order. Returns (selection order, rank per
+    individual).
     """
     p = len(population)
-    if not uncovered:
-        return list(range(p)), [0] * p, [float("inf")] * p
     matrix = np.zeros((p, len(uncovered)), dtype=np.float32)
     col = {k: j for j, k in enumerate(uncovered)}
     for i, (_, h) in enumerate(population):
@@ -322,78 +315,60 @@ def _mosa_sort(population, uncovered):
             j = col.get(k)
             if j is not None:
                 row[j] = v
-    # Drop objectives nobody reaches; they cannot order anything.
-    alive = matrix.any(axis=0)
-    if not alive.all():
-        matrix = matrix[:, alive]
-    preferred: list = []
-    seen = set()
-    if matrix.shape[1]:
-        col_max = matrix.max(axis=0)
-        is_best = (matrix == col_max[None, :]) & (col_max[None, :] > 0.0)
-        for i in np.flatnonzero(is_best.any(axis=1)):
-            preferred.append(int(i))
-            seen.add(int(i))
-    rest = [i for i in range(p) if i not in seen]
-    fronts = [preferred] if preferred else []
-    fronts.extend(_nondominated_fronts(matrix[rest], rest))
-    ranks = [0] * p
-    crowding = [0.0] * p
-    order: list = []
-    for rank, front in enumerate(fronts):
-        dist = _crowding_distance(matrix[front])
-        by_crowd = sorted(range(len(front)), key=lambda i: -dist[i])
-        for i in front:
-            ranks[i] = rank
-        for i in by_crowd:
-            crowding[front[i]] = dist[i]
-            order.append(front[i])
-    return order, ranks, crowding
+    # Drop objectives nobody reaches; they cannot order anything. Each one
+    # left has a positive best value, so every column has a preferred row.
+    matrix = matrix[:, matrix.any(axis=0)]
+    if not matrix.shape[1]:
+        return list(range(p)), [0] * p
+    rank = np.zeros(p, dtype=np.intp)
+    rest = np.flatnonzero(~(matrix == matrix.max(axis=0)).any(axis=1))
+    if len(rest):
+        # Fast non-dominated sort (maximization) of the rest, fronts from 1.
+        sub = matrix[rest]
+        ge = (sub[:, None, :] >= sub[None, :, :]).all(axis=2)
+        dominates = ge & ~ge.T
+        dominated_count = dominates.sum(axis=0)
+        remaining = np.ones(len(rest), dtype=bool)
+        front = 1
+        while remaining.any():
+            current = remaining & (dominated_count == 0)
+            rank[rest[current]] = front
+            remaining &= ~current
+            dominated_count -= dominates[current].sum(axis=0)
+            front += 1
+    return np.lexsort((-_crowding(matrix, rank), rank)).tolist(), rank.tolist()
 
 
-def _nondominated_fronts(matrix: np.ndarray, ids: list) -> list:
-    """Fast non-dominated sort (maximization) returning fronts of ids."""
-    p = len(ids)
-    if p == 0:
-        return []
-    if matrix.shape[1] == 0:
-        return [list(ids)]
-    ge = (matrix[:, None, :] >= matrix[None, :, :]).all(axis=2)
-    gt = (matrix[:, None, :] > matrix[None, :, :]).any(axis=2)
-    dominates = ge & gt
-    dominated_count = dominates.sum(axis=0)
-    fronts = []
-    remaining = np.ones(p, dtype=bool)
-    while remaining.any():
-        current = remaining & (dominated_count == 0)
-        if not current.any():
-            # Cannot happen with a strict dominance relation; guard anyway.
-            current = remaining.copy()
-        members = np.flatnonzero(current)
-        fronts.append([ids[i] for i in members])
-        remaining[members] = False
-        dominated_count = dominated_count - dominates[members].sum(axis=0)
-    return fronts
+def _crowding(matrix: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """Crowding distance of every individual within its front.
 
-
-def _crowding_distance(matrix: np.ndarray) -> np.ndarray:
-    f = matrix.shape[0]
-    dist = np.zeros(f, dtype=np.float64)
-    if f <= 2:
-        dist[:] = np.inf
-        return dist
-    for j in range(matrix.shape[1]):
-        vals = matrix[:, j].astype(np.float64)
-        order = np.argsort(vals, kind="stable")
-        lo, hi = vals[order[0]], vals[order[-1]]
-        dist[order[0]] = np.inf
-        dist[order[-1]] = np.inf
-        if hi > lo:
-            gaps = (vals[order[2:]] - vals[order[:-2]]) / (hi - lo)
-            interior = order[1:-1]
-            finite = ~np.isinf(dist[interior])
-            dist[interior[finite]] += gaps[finite]
-    return dist
+    Per objective, a front's lowest and highest members (population order
+    breaking ties) are infinitely far; an interior member gets the gap
+    between its neighbours over the front's range, or nothing when the
+    range is empty. Members of fronts of one or two are infinitely far.
+    Gaps sum over objectives left to right.
+    """
+    vals = matrix.astype(np.float64)
+    by_value = np.argsort(vals, axis=0, kind="stable")
+    # Regroup each column by front, keeping value order inside a front.
+    by_front = np.argsort(rank[by_value], axis=0, kind="stable")
+    order = np.take_along_axis(by_value, by_front, axis=0)
+    v = np.take_along_axis(vals, order, axis=0)
+    sorted_rank = np.sort(rank)
+    boundary = sorted_rank[1:] != sorted_rank[:-1]
+    first = np.concatenate(([True], boundary))
+    last = np.concatenate((boundary, [True]))
+    segment = np.cumsum(first) - 1
+    lo = v[first][segment]
+    span = v[last][segment] - lo
+    gaps = np.zeros_like(v)
+    np.divide(v[2:] - v[:-2], span[1:-1], out=gaps[1:-1], where=span[1:-1] > 0)
+    gaps[first | last] = np.inf
+    per_member = np.empty_like(gaps)
+    np.put_along_axis(per_member, order, gaps, axis=0)
+    # cumsum adds strictly left to right; sum() would add pairwise and
+    # round differently from the per-objective loop it replaces.
+    return np.cumsum(per_member, axis=1)[:, -1]
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +377,14 @@ def _crowding_distance(matrix: np.ndarray) -> np.ndarray:
 
 
 def run_wts(problem, config: WtsConfig, budget: Budget, rng) -> SearchResult:
+    """Whole-suite GA.
+
+    A suite is a list of (test, dense heuristic row) members. A member keeps
+    its row through crossover and unchanged copies; a new or mutated member
+    carries None until ``execute_missing`` fills it in, so only those are
+    looked up in ``dense``, the rows of every test executed so far, which
+    keeps a structurally equal test from being executed twice.
+    """
     z = problem.target_count
     archive = Archive(z)
     trace: list = []
@@ -409,25 +392,28 @@ def run_wts(problem, config: WtsConfig, budget: Budget, rng) -> SearchResult:
 
     def execute_missing(suite: list) -> bool:
         """Evaluate any not-yet-run test; False when the budget dies first."""
-        for test in suite:
-            if test in dense:
+        for i, (test, row) in enumerate(suite):
+            if row is not None:
                 continue
-            if not budget.has_remaining():
-                return False
-            budget.consume()
-            h = problem.evaluate(test)
-            archive.save(test, h, FIXED_ARCHIVE_CAPACITY)
-            trace.append(archive.covered_count)
-            row = np.zeros(z, dtype=np.float32)
-            for k, v in h.items():
-                row[k] = v
-            dense[test] = row
+            row = dense.get(test)
+            if row is None:
+                if not budget.has_remaining():
+                    return False
+                budget.consume()
+                h = problem.evaluate(test)
+                archive.save(test, h, FIXED_ARCHIVE_CAPACITY)
+                trace.append(archive.covered_count)
+                row = np.zeros(z, dtype=np.float32)
+                for k, v in h.items():
+                    row[k] = v
+                dense[test] = row
+            suite[i] = (test, row)
         return True
 
     def fitness(suite: list) -> float:
-        best = dense[suite[0]]
+        best = suite[0][1]
         if len(suite) > 1:
-            best = np.maximum.reduce([dense[t] for t in suite])
+            best = np.maximum.reduce([row for _, row in suite])
         return z - float(best.sum())
 
     population: list = []
@@ -435,7 +421,7 @@ def run_wts(problem, config: WtsConfig, budget: Budget, rng) -> SearchResult:
         if not budget.has_remaining() or archive.covered_count >= z:
             return _finish(archive, trace, budget)
         suite = [
-            problem.random_test(rng)
+            (problem.random_test(rng), None)
             for _ in range(rng.randint(1, config.max_suite_size))
         ]
         if not execute_missing(suite):
@@ -496,10 +482,10 @@ def _mutate_suite(suite: list, problem, config: WtsConfig, rng):
     roll = rng.random()
     if roll < config.add_weight:
         if len(suite) < config.max_suite_size:
-            suite.append(problem.random_test(rng))
+            suite.append((problem.random_test(rng), None))
     elif roll < config.add_weight + config.remove_weight:
         if len(suite) > 1:
             del suite[rng.randrange(len(suite))]
     else:
         i = rng.randrange(len(suite))
-        suite[i] = mutate(suite[i], problem, rng)
+        suite[i] = (mutate(suite[i][0], problem, rng), None)

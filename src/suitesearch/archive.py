@@ -42,15 +42,36 @@ def _worst_key(entry: ScoredTest):
     return (entry.h, -entry.test.size, entry.seq)
 
 
-class TargetPopulation:
-    """Bounded set of candidate tests for one target, plus its sampling counter."""
+def _worst_index(entries: list) -> int:
+    """Position of ``min(entries, key=_worst_key)``, compared field by field."""
+    worst_i = 0
+    worst = entries[0]
+    for i in range(1, len(entries)):
+        e = entries[i]
+        if e.h < worst.h or e.h == worst.h and (
+            e.test.size > worst.test.size
+            or e.test.size == worst.test.size and e.seq < worst.seq
+        ):
+            worst_i = i
+            worst = e
+    return worst_i
 
-    __slots__ = ("entries", "covered", "counter")
+
+class TargetPopulation:
+    """Bounded set of candidate tests for one target, plus its sampling counter.
+
+    ``worst`` caches the position of the worst entry for saves into a full
+    population; it is None whenever ``entries`` changed since it was last
+    computed. Covered populations never consult it.
+    """
+
+    __slots__ = ("entries", "covered", "counter", "worst")
 
     def __init__(self):
         self.entries: list[ScoredTest] = []
         self.covered = False
         self.counter = 0
+        self.worst: int | None = None
 
     def best(self) -> ScoredTest | None:
         if not self.entries:
@@ -184,6 +205,7 @@ class Archive:
                     self._seq += 1
                     was_empty = not entries
                     entries.append(ScoredTest(test, hk, cov_sum, self._seq))
+                    pop.worst = None
                     self._total_entries += 1
                     if was_empty:
                         pop.counter = 0
@@ -191,12 +213,10 @@ class Archive:
                         self._add_eligible(k)
                     admitted.append(k)
                 else:
-                    worst_i = 0
-                    worst = entries[0]
-                    for i in range(1, len(entries)):
-                        if _worst_key(entries[i]) < _worst_key(worst):
-                            worst_i = i
-                            worst = entries[i]
+                    worst_i = pop.worst
+                    if worst_i is None:
+                        worst_i = pop.worst = _worst_index(entries)
+                    worst = entries[worst_i]
                     if hk > worst.h or (
                         hk == worst.h and test.size <= worst.test.size
                     ):
@@ -204,6 +224,7 @@ class Archive:
                             cov_sum = h.sum()
                         self._seq += 1
                         entries[worst_i] = ScoredTest(test, hk, cov_sum, self._seq)
+                        pop.worst = None
                         admitted.append(k)
                         if hk > worst.h or test.size < worst.test.size:
                             pop.counter = 0
@@ -266,6 +287,7 @@ class Archive:
             if excess > 0:
                 pop.entries.sort(key=_worst_key)
                 del pop.entries[:excess]
+                pop.worst = None
                 self._total_entries -= excess
 
     def extract_suite(self) -> list[TestCase]:

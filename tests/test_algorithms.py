@@ -1,11 +1,15 @@
+import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from suitesearch.algorithms import (
     MioConfig,
     MosaConfig,
     WtsConfig,
+    _crowding,
     _mosa_sort,
     mutate,
     run_mio,
@@ -224,6 +228,47 @@ class TestMioBehaviour:
             assert any(v == 1.0 for _, v in h.items())
 
 
+def _reference_mosa_sort(rows):
+    """Loop form of ``_mosa_sort`` over dense float32-exact rows of the
+    uncovered objectives: one front at a time, one objective at a time.
+    Returns (order, ranks, reachable objectives' rows, crowding distances)."""
+    p = len(rows)
+    alive = [j for j in range(len(rows[0])) if any(r[j] > 0.0 for r in rows)]
+    if not alive:
+        return list(range(p)), [0] * p, [], []
+    rows = [[r[j] for j in alive] for r in rows]
+    best = [max(r[j] for r in rows) for j in range(len(alive))]
+    fronts = [[i for i in range(p) if any(v == b for v, b in zip(rows[i], best))]]
+    rest = [i for i in range(p) if i not in fronts[0]]
+
+    def dominates(a, b):
+        return rows[a] != rows[b] and all(x >= y for x, y in zip(rows[a], rows[b]))
+
+    while rest:
+        fronts.append([i for i in rest if not any(dominates(j, i) for j in rest)])
+        rest = [i for i in rest if i not in fronts[-1]]
+    order, ranks, dist = [], [0] * p, [0.0] * p
+    for rank, front in enumerate(fronts):
+        _reference_crowding(rows, front, dist)
+        for i in front:
+            ranks[i] = rank
+        order.extend(sorted(front, key=lambda i: -dist[i]))
+    return order, ranks, rows, dist
+
+
+def _reference_crowding(rows, front, dist):
+    """Adds the crowding distance of each front member to ``dist``."""
+    for j in range(len(rows[0])):
+        by_value = sorted(front, key=lambda i: rows[i][j])
+        lo, hi = rows[by_value[0]][j], rows[by_value[-1]][j]
+        for pos, i in enumerate(by_value):
+            if pos == 0 or pos == len(by_value) - 1:
+                dist[i] = math.inf
+            elif hi > lo:
+                gap = rows[by_value[pos + 1]][j] - rows[by_value[pos - 1]][j]
+                dist[i] += gap / (hi - lo)
+
+
 class TestMosaRanking:
     def _pop(self, rows, z):
         return [
@@ -239,7 +284,7 @@ class TestMosaRanking:
             [0.1, 0.1, 0.3],
         ]
         population = self._pop(rows, 3)
-        order, ranks, crowding = _mosa_sort(population, [0, 1, 2])
+        order, ranks = _mosa_sort(population, [0, 1, 2])
         for target in range(3):
             best = max(r[target] for r in rows)
             assert any(
@@ -248,26 +293,76 @@ class TestMosaRanking:
 
     def test_preference_includes_ties(self):
         rows = [[0.5], [0.5], [0.2]]
-        _, ranks, _ = _mosa_sort(self._pop(rows, 1), [0])
+        _, ranks = _mosa_sort(self._pop(rows, 1), [0])
         assert ranks[0] == 0 and ranks[1] == 0
         assert ranks[2] > 0
 
     def test_dominated_zero_rows_rank_last(self):
         rows = [[0.4, 0.4], [0.0, 0.0]]
-        order, ranks, _ = _mosa_sort(self._pop(rows, 2), [0, 1])
+        order, ranks = _mosa_sort(self._pop(rows, 2), [0, 1])
         assert ranks[1] > ranks[0]
         assert order[0] == 0
 
     def test_no_uncovered_targets_degenerates(self):
-        order, ranks, crowding = _mosa_sort(self._pop([[0.1], [0.9]], 1), [])
+        order, ranks = _mosa_sort(self._pop([[0.1], [0.9]], 1), [])
         assert order == [0, 1]
         assert ranks == [0, 0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_front_by_front_reference(self, data):
+        # Up to 12 objectives, so a sum over them that is not left to right
+        # rounds differently.
+        z = data.draw(st.integers(1, 12))
+        value = st.one_of(
+            st.sampled_from([0.0, 0.0, 0.25, 0.5]), st.floats(0.0, 0.875, width=32)
+        )
+        row = st.lists(value, min_size=z, max_size=z)
+        rows = data.draw(st.lists(row, min_size=1, max_size=16))
+        uncovered = sorted(data.draw(st.sets(st.integers(0, z - 1))))
+        order, ranks = _mosa_sort(self._pop(rows, z), uncovered)
+        expected = _reference_mosa_sort([[row[k] for k in uncovered] for row in rows])
+        assert (order, ranks) == expected[:2]
+        if expected[2]:
+            matrix = np.array(expected[2], dtype=np.float32)
+            assert _crowding(matrix, np.array(ranks)).tolist() == expected[3]
+
+    def test_crowding_sums_many_objectives_left_to_right(self):
+        # Rows 0 and 1 bound every objective, so the others are interior in
+        # all 16 and their distances are long sums that rounding can tell apart.
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            matrix = rng.uniform(0.05, 0.8, size=(6, 16)).astype(np.float32)
+            matrix[0], matrix[1] = 0.0, 0.875
+            dist = [0.0] * 6
+            _reference_crowding(matrix.tolist(), list(range(6)), dist)
+            assert _crowding(matrix, np.zeros(6, dtype=np.intp)).tolist() == dist
 
     def test_preference_invariant_holds_during_search(self):
         # Replays the ranking on live populations produced by a real run.
         problem = small_problem(17, z=10)
         result = run_mosa(problem, MosaConfig(), Budget(500), random.Random(11))
         assert result.evaluations == 500 or result.covered_count == 10
+
+
+class TestWtsExecution:
+    def test_structurally_equal_tests_execute_once(self):
+        # 15 ids x 41 inputs: suites of up to 50 random tests collide often,
+        # and the 5 infeasible targets keep the run going until the budget.
+        problem = ArtificialProblem(
+            "infeasible", tuple(range(0, 40, 4)), r=40, infeasible_count=5
+        )
+        executed = []
+        evaluate = problem.evaluate
+
+        def counting_evaluate(test):
+            executed.append(test)
+            return evaluate(test)
+
+        problem.evaluate = counting_evaluate
+        result = run_wts(problem, WtsConfig(), Budget(400), random.Random(5))
+        assert len(executed) == len(set(executed))
+        assert result.evaluations == len(set(executed))
 
 
 class TestRandomSearch:

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from suitesearch.archive import Archive
+from suitesearch.archive import Archive, ScoredTest, _worst_key
 from suitesearch.core import EmptyArchiveError, HeuristicVector, TestCase
 
 
@@ -250,6 +250,51 @@ def test_archive_invariants_hold_under_any_save_sequence(ops, capacity):
             total += len(pop.entries)
         assert total <= capacity * 4
         assert total == archive.total_entries
+
+
+# A full-population save offers heuristics that tie on h and size, with the
+# capacity changing between calls; shrink_to interleaves, one call in three.
+full_save_op = st.tuples(
+    st.just("save"),
+    st.dictionaries(st.integers(0, 2), st.sampled_from([0.25, 0.5, 0.75]), min_size=1),
+    st.integers(1, 2),                      # size
+    st.integers(1, 3),                      # capacity
+)
+shrink_op = st.tuples(st.just("shrink"), st.integers(1, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(full_save_op, full_save_op, shrink_op), max_size=80))
+def test_full_population_victim_matches_min_worst_key_model(ops):
+    # The model rescans every population on every save; the archive may not.
+    archive = Archive(3)
+    model = [[], [], []]
+    seq = 0
+    for i, op in enumerate(ops):
+        if op[0] == "shrink":
+            archive.shrink_to(op[1])
+            for entries in model:
+                if len(entries) > op[1]:
+                    entries.sort(key=_worst_key)
+                    del entries[: len(entries) - op[1]]
+        else:
+            _, hs, size, capacity = op
+            test = TestCase(0, (i,), size=size)
+            archive.save(test, multi(3, hs), capacity=capacity)
+            for k, h in hs.items():
+                entries = model[k]
+                if len(entries) < capacity:
+                    seq += 1
+                    entries.append(ScoredTest(test, h, 0.0, seq))
+                    continue
+                victim = min(entries, key=_worst_key)
+                if h > victim.h or (h == victim.h and size <= victim.test.size):
+                    seq += 1
+                    entries[entries.index(victim)] = ScoredTest(test, h, 0.0, seq)
+        for pop, entries in zip(archive.populations, model):
+            assert [(e.test, e.h, e.seq) for e in pop.entries] == [
+                (e.test, e.h, e.seq) for e in entries
+            ]
 
 
 def test_stagnant_target_counter_never_resets():

@@ -11,7 +11,7 @@ from .algorithms import (
     run_random,
     run_wts,
 )
-from .archive import Archive, SaveReport, ScoredTest, TargetPopulation
+from .archive import Archive, ScoredTest, TargetPopulation
 from .core import (
     Budget,
     BudgetExhaustedError,
@@ -19,8 +19,6 @@ from .core import (
     HeuristicVector,
     ParameterSchedule,
     TestCase,
-    consume_evaluation,
-    schedule_value,
 )
 from .harness import (
     ExperimentPlan,
@@ -62,7 +60,6 @@ __all__ = [
     "MosaConfig",
     "ParameterSchedule",
     "RawRun",
-    "SaveReport",
     "ScoredTest",
     "SearchResult",
     "SutFault",
@@ -72,7 +69,6 @@ __all__ = [
     "TestCase",
     "WtsConfig",
     "branch_distances",
-    "consume_evaluation",
     "derive_seed",
     "emit_csv",
     "figure_plans",
@@ -86,7 +82,6 @@ __all__ = [
     "run_plan",
     "run_random",
     "run_wts",
-    "schedule_value",
     "summarize_rows",
     "sut_plans",
     "vargha_delaney_a12",

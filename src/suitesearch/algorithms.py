@@ -5,8 +5,8 @@ and the same archive of best tests, so any performance difference comes
 from the search strategy itself:
 
 * ``run_mio``: per-target archive populations with scheduled random
-  sampling, scheduled capacities, per-lineage mutation counts and
-  feedback-directed target selection.
+  sampling, scheduled capacities, a scheduled number of hill-climbing
+  mutations per sampled parent, and feedback-directed target selection.
 * ``run_mosa``: many-objective GA over single tests with preference
   sorting ahead of non-dominated ranking.
 * ``run_wts``: GA whose individuals are whole test suites, with suite
@@ -39,26 +39,14 @@ FIXED_ARCHIVE_CAPACITY = 10
 
 @dataclass(frozen=True)
 class MioConfig:
-    focus_fraction: float = 0.5
-    pr_start: float = 0.5
-    pr_end: float = 0.0
-    n_start: int = 10
-    n_end: int = 1
-    m_start: int = 1
-    m_end: int = 10
-    fds_enabled: bool = True
-    lineage: str = "climb"  # climb | star | chain
+    """MIO's parameter schedule (validated when it is built) and the FDS switch."""
 
-    def schedule(self) -> ParameterSchedule:
-        return ParameterSchedule(
-            focus_fraction=self.focus_fraction,
-            pr_start=self.pr_start,
-            pr_end=self.pr_end,
-            n_start=self.n_start,
-            n_end=self.n_end,
-            m_start=self.m_start,
-            m_end=self.m_end,
-        )
+    schedule: ParameterSchedule = ParameterSchedule()
+    fds_enabled: bool = True
+
+    def __post_init__(self):
+        if not isinstance(self.schedule, ParameterSchedule):
+            raise TypeError(f"schedule must be a ParameterSchedule, got {self.schedule!r}")
 
 
 @dataclass(frozen=True)
@@ -144,7 +132,7 @@ def _finish(archive: Archive, trace: list, budget: Budget) -> SearchResult:
 
 
 def run_mio(problem, config: MioConfig, budget: Budget, rng) -> SearchResult:
-    schedule = config.schedule()
+    schedule = config.schedule
     z = problem.target_count
     archive = Archive(z)
     trace: list = []
@@ -156,12 +144,11 @@ def run_mio(problem, config: MioConfig, budget: Budget, rng) -> SearchResult:
             test = problem.random_test(rng)
             last_n = _mio_evaluate(problem, test, archive, budget, schedule, last_n, trace)[1]
         else:
-            # Up to m successive mutate-evaluate-save steps on one lineage,
-            # hill-climbing total heuristic mass: a mutant no worse than the
-            # current test becomes the next parent, so the focused phase
-            # behaves like parallel (1+1) EAs.
-            k, current, current_sum = archive.sample_with_target(rng, fds=config.fds_enabled)
-            lineage = config.lineage
+            # Up to m successive mutate-evaluate-save steps from the sampled
+            # parent, hill-climbing total heuristic mass: a mutant no worse
+            # than the current test becomes the next parent, so the focused
+            # phase behaves like parallel (1+1) EAs.
+            _, current, current_sum = archive.sample_with_target(rng, fds=config.fds_enabled)
             for _ in range(schedule.m(t)):
                 if not budget.has_remaining() or archive.covered_count >= z:
                     break
@@ -169,13 +156,10 @@ def run_mio(problem, config: MioConfig, budget: Budget, rng) -> SearchResult:
                 h, last_n = _mio_evaluate(
                     problem, mutant, archive, budget, schedule, last_n, trace
                 )
-                if lineage == "chain":
+                mutant_sum = h.sum()
+                if mutant_sum >= current_sum:
                     current = mutant
-                elif lineage == "climb":
-                    mutant_sum = h.sum()
-                    if mutant_sum >= current_sum:
-                        current = mutant
-                        current_sum = mutant_sum
+                    current_sum = mutant_sum
     return _finish(archive, trace, budget)
 
 
@@ -217,7 +201,7 @@ def run_mosa(problem, config: MosaConfig, budget: Budget, rng) -> SearchResult:
     archive = Archive(z)
     trace: list = []
 
-    population: list = []  # (test, heuristic vector) pairs
+    population: list = []  # (test, dense heuristic row) pairs
     while len(population) < config.population_size:
         if not budget.has_remaining() or archive.covered_count >= z:
             return _finish(archive, trace, budget)
@@ -226,7 +210,7 @@ def run_mosa(problem, config: MosaConfig, budget: Budget, rng) -> SearchResult:
         h = problem.evaluate(test)
         archive.save(test, h, FIXED_ARCHIVE_CAPACITY)
         trace.append(archive.covered_count)
-        population.append((test, h))
+        population.append((test, h.dense()))
 
     ranks = _mosa_sort(population, _uncovered_ids(archive, z))[1]
 
@@ -256,7 +240,7 @@ def run_mosa(problem, config: MosaConfig, budget: Budget, rng) -> SearchResult:
                 h = problem.evaluate(child)
                 archive.save(child, h, FIXED_ARCHIVE_CAPACITY)
                 trace.append(archive.covered_count)
-                offspring.append((child, h))
+                offspring.append((child, h.dense()))
         combined = population + offspring
         uncovered = _uncovered_ids(archive, z)
         order, ranks_all = _mosa_sort(combined, uncovered)
@@ -264,7 +248,6 @@ def run_mosa(problem, config: MosaConfig, budget: Budget, rng) -> SearchResult:
         population = [combined[i] for i in keep]
         ranks = [ranks_all[i] for i in keep]
     return _finish(archive, trace, budget)
-
 
 
 def _uncovered_ids(archive: Archive, z: int) -> list:
@@ -297,24 +280,18 @@ def _test_crossover(t1: TestCase, t2: TestCase, rng):
 
 
 def _mosa_sort(population, uncovered):
-    """Preference-then-Pareto ranking.
+    """Preference-then-Pareto ranking of (test, dense row) pairs.
 
     Front 0 holds, per uncovered target, every individual attaining the
     population-wide best non-zero heuristic for it, ties included. The
     remainder is ranked by non-dominated sorting over the uncovered
     objectives; crowding distance breaks ties within a front, and equal
-    distances keep population order. Returns (selection order, rank per
+    distances keep population order. Rows are float32 (see
+    :meth:`HeuristicVector.dense`). Returns (selection order, rank per
     individual).
     """
     p = len(population)
-    matrix = np.zeros((p, len(uncovered)), dtype=np.float32)
-    col = {k: j for j, k in enumerate(uncovered)}
-    for i, (_, h) in enumerate(population):
-        row = matrix[i]
-        for k, v in h.items():
-            j = col.get(k)
-            if j is not None:
-                row[j] = v
+    matrix = np.stack([row for _, row in population])[:, uncovered]
     # Drop objectives nobody reaches; they cannot order anything. Each one
     # left has a positive best value, so every column has a preferred row.
     matrix = matrix[:, matrix.any(axis=0)]
@@ -403,10 +380,7 @@ def run_wts(problem, config: WtsConfig, budget: Budget, rng) -> SearchResult:
                 h = problem.evaluate(test)
                 archive.save(test, h, FIXED_ARCHIVE_CAPACITY)
                 trace.append(archive.covered_count)
-                row = np.zeros(z, dtype=np.float32)
-                for k, v in h.items():
-                    row[k] = v
-                dense[test] = row
+                row = dense[test] = h.dense()
             suite[i] = (test, row)
         return True
 

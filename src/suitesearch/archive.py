@@ -11,8 +11,6 @@ targets of search effort.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import EmptyArchiveError, HeuristicVector, TestCase
 
 
@@ -73,20 +71,6 @@ class TargetPopulation:
         self.counter = 0
         self.worst: int | None = None
 
-    def best(self) -> ScoredTest | None:
-        if not self.entries:
-            return None
-        return max(self.entries, key=_worst_key)
-
-
-@dataclass(frozen=True)
-class SaveReport:
-    """Which targets admitted the candidate during one save."""
-
-    admitted: tuple[int, ...]
-    newly_covered: tuple[int, ...]
-    counters_reset: tuple[int, ...]
-
 
 class Archive:
     """One :class:`TargetPopulation` per target, with shared bookkeeping."""
@@ -97,8 +81,6 @@ class Archive:
         self.target_count = target_count
         self.populations = [TargetPopulation() for _ in range(target_count)]
         self._seq = 0
-        self._covered_count = 0
-        self._total_entries = 0
         # Uncovered, non-empty targets, with positions for O(1) swap-removal.
         self._eligible: list[int] = []
         self._eligible_pos: dict[int, int] = {}
@@ -108,14 +90,11 @@ class Archive:
 
     @property
     def covered_count(self) -> int:
-        return self._covered_count
-
-    @property
-    def total_entries(self) -> int:
-        return self._total_entries
+        return len(self._covered_ids)
 
     def is_empty(self) -> bool:
-        return self._total_entries == 0
+        # Populations never empty once filled: shrink_to keeps at least one.
+        return not self._eligible and not self._covered_ids
 
     def coverage_sum(self) -> float:
         """Sum over targets of the best heuristic stored (1 when covered)."""
@@ -143,7 +122,7 @@ class Archive:
 
     # -- save -------------------------------------------------------------
 
-    def save(self, test: TestCase, h: HeuristicVector, capacity: int) -> SaveReport:
+    def save(self, test: TestCase, h: HeuristicVector, capacity: int):
         """Offer an evaluated test to every population, per the save rules.
 
         For each target: a zero heuristic is skipped; a covering test (h=1)
@@ -160,9 +139,6 @@ class Archive:
             raise ValueError(
                 f"heuristic vector has {len(h)} entries for {self.target_count} targets"
             )
-        admitted: list[int] = []
-        newly_covered: list[int] = []
-        resets: list[int] = []
         cov_sum = None
         pops = self.populations
         for k, hk in h.items():
@@ -179,22 +155,14 @@ class Archive:
                         self._seq += 1
                         pop.entries[0] = ScoredTest(test, hk, cov_sum, self._seq)
                         pop.counter = 0
-                        admitted.append(k)
-                        resets.append(k)
                 else:
                     self._seq += 1
-                    dropped = len(pop.entries)
+                    if pop.entries:
+                        self._remove_eligible(k)
                     pop.entries = [ScoredTest(test, hk, cov_sum, self._seq)]
                     pop.covered = True
                     pop.counter = 0
-                    self._covered_count += 1
-                    self._total_entries += 1 - dropped
-                    if dropped:
-                        self._remove_eligible(k)
                     self._covered_ids.append(k)
-                    admitted.append(k)
-                    newly_covered.append(k)
-                    resets.append(k)
             else:
                 if pop.covered:
                     continue
@@ -203,15 +171,11 @@ class Archive:
                     if cov_sum is None:
                         cov_sum = h.sum()
                     self._seq += 1
-                    was_empty = not entries
+                    if not entries:
+                        pop.counter = 0
+                        self._add_eligible(k)
                     entries.append(ScoredTest(test, hk, cov_sum, self._seq))
                     pop.worst = None
-                    self._total_entries += 1
-                    if was_empty:
-                        pop.counter = 0
-                        resets.append(k)
-                        self._add_eligible(k)
-                    admitted.append(k)
                 else:
                     worst_i = pop.worst
                     if worst_i is None:
@@ -225,26 +189,20 @@ class Archive:
                         self._seq += 1
                         entries[worst_i] = ScoredTest(test, hk, cov_sum, self._seq)
                         pop.worst = None
-                        admitted.append(k)
                         if hk > worst.h or test.size < worst.test.size:
                             pop.counter = 0
-                            resets.append(k)
-        return SaveReport(tuple(admitted), tuple(newly_covered), tuple(resets))
 
     # -- sampling ---------------------------------------------------------
 
-    def sample(self, rng, fds: bool = True) -> TestCase:
+    def sample_with_target(self, rng, fds: bool = True):
         """Draw one stored test to serve as a mutation parent.
 
         Picks an uncovered, non-empty target (lowest counter under
         feedback-directed sampling, uniform otherwise), then a uniformly
         random test from its population. When only covered populations
         remain, picks uniformly among those without touching any counter.
+        Returns (target id, test, coverage sum of the test).
         """
-        return self.sample_with_target(rng, fds)[1]
-
-    def sample_with_target(self, rng, fds: bool = True):
-        """Like :meth:`sample` but returns (target id, test, coverage sum)."""
         eligible = self._eligible
         if not eligible:
             if not self._covered_ids:
@@ -288,7 +246,6 @@ class Archive:
                 pop.entries.sort(key=_worst_key)
                 del pop.entries[:excess]
                 pop.worst = None
-                self._total_entries -= excess
 
     def extract_suite(self) -> list[TestCase]:
         """The best test of every covered target, deduplicated, in target order."""

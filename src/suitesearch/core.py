@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class BudgetExhaustedError(RuntimeError):
     """Raised when an evaluation is requested from a spent budget."""
@@ -108,11 +110,19 @@ class HeuristicVector:
         """Sum of heuristic values over all targets (the coverage sum)."""
         return sum(self.nonzero.values())
 
-    def dense(self) -> list:
-        out = [0.0] * self.length
+    def dense(self) -> np.ndarray:
+        """All ``length`` values as one float32 row.
+
+        MOSA ranks and WTS scores suites on these rows, and the pinned
+        outputs were produced by float32 comparisons: values closer than
+        float32 precision (about 6e-8 relative) tie. Widening the rows to
+        float64 breaks such ties differently and changes results (the
+        subject outputs pinned in bench/pins.json no longer match).
+        """
+        row = np.zeros(self.length, dtype=np.float32)
         for k, v in self.nonzero.items():
-            out[k] = v
-        return out
+            row[k] = v
+        return row
 
     def __repr__(self):
         return f"HeuristicVector(length={self.length}, nonzero={self.nonzero!r})"
@@ -136,25 +146,19 @@ class Budget:
     def has_remaining(self) -> bool:
         return self.used_evaluations < self.max_evaluations
 
-    def consume(self) -> bool:
-        """Spend one evaluation; returns whether any budget remains after it."""
+    def consume(self):
+        """Spend one evaluation."""
         if self.used_evaluations >= self.max_evaluations:
             raise BudgetExhaustedError(
                 f"budget of {self.max_evaluations} evaluations exhausted"
             )
         self.used_evaluations += 1
-        return self.used_evaluations < self.max_evaluations
 
     def elapsed_fraction(self) -> float:
         """Fraction of the budget already spent, in [0, 1]."""
         if self.max_evaluations == 0:
             return 1.0
         return self.used_evaluations / self.max_evaluations
-
-
-def consume_evaluation(budget: Budget) -> bool:
-    """Functional alias for :meth:`Budget.consume`."""
-    return budget.consume()
 
 
 def _round_half_away_from_zero(x: float) -> int:
@@ -208,22 +212,8 @@ class ParameterSchedule:
         return self._int_value(self.m_start, self.m_end, t)
 
     def _int_value(self, start: int, end: int, t: float) -> int:
+        """Interpolated value rounded half away from zero, then clamped to
+        the interval spanned by ``start`` and ``end``."""
         raw = _round_half_away_from_zero(self._interp(start, end, t))
         lo, hi = min(start, end), max(start, end)
         return min(max(raw, lo), hi)
-
-
-def schedule_value(schedule: ParameterSchedule, which: str, t: float):
-    """Scheduled value of one parameter at elapsed fraction ``t``.
-
-    ``which`` is one of ``"pr"``, ``"n"`` or ``"m"``. Integer parameters
-    are rounded to the nearest integer, half away from zero, then clamped
-    to the interval spanned by their start and end values.
-    """
-    if which == "pr":
-        return schedule.pr(t)
-    if which == "n":
-        return schedule.n(t)
-    if which == "m":
-        return schedule.m(t)
-    raise ValueError(f"unknown schedule parameter: {which!r}")

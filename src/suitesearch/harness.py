@@ -16,9 +16,10 @@ import hashlib
 import random
 import statistics
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from multiprocessing import get_context
 from pathlib import Path
+from typing import get_type_hints
 
 from .algorithms import (
     MioConfig,
@@ -48,22 +49,6 @@ DISPLAY_NAMES = {
 # Parameter grids used throughout the figure replications.
 Z_GRID = (1, 2, 3, 4, 5, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100)
 INFEASIBLE_GRID = (0, 1, 2, 3, 4, 5, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100)
-
-RAW_COLUMNS = (
-    "schema_version",
-    "family",
-    "param",
-    "algorithm",
-    "rep",
-    "seed",
-    "covered",
-    "feasible_covered",
-    "feasible_total",
-    "target_count",
-    "coverage_sum",
-    "suite_size",
-    "evaluations",
-)
 
 SUMMARY_COLUMNS = (
     "schema_version",
@@ -140,6 +125,11 @@ class RawRun:
     coverage_sum: float
     suite_size: int
     evaluations: int
+
+
+# raw.csv holds one RawRun per line, after the schema version.
+_RAW_FIELDS = tuple(f.name for f in fields(RawRun))
+RAW_COLUMNS = ("schema_version",) + _RAW_FIELDS
 
 
 @dataclass
@@ -265,12 +255,6 @@ def run_plan(plan: ExperimentPlan, workers: int = 1) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def _format_value(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def summarize_rows(rows) -> list:
     """Summary rows (as dicts) recomputable from raw rows alone.
 
@@ -331,23 +315,7 @@ def emit_csv(result: ExperimentResult, out_dir) -> dict:
         writer = csv.writer(fh)
         writer.writerow(RAW_COLUMNS)
         for r in result.rows:
-            writer.writerow(
-                [
-                    SCHEMA_VERSION,
-                    r.family,
-                    r.param,
-                    r.algorithm,
-                    r.rep,
-                    r.seed,
-                    r.covered,
-                    r.feasible_covered,
-                    r.feasible_total,
-                    r.target_count,
-                    _format_value(r.coverage_sum),
-                    r.suite_size,
-                    r.evaluations,
-                ]
-            )
+            writer.writerow([SCHEMA_VERSION, *(getattr(r, name) for name in _RAW_FIELDS)])
     summary_path = out / "summary.csv"
     write_summary(summarize_rows(result.rows), summary_path)
     manifest_path = out / "manifest.txt"
@@ -379,32 +347,17 @@ def write_summary(summary_rows, path):
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_COLUMNS)
         for row in summary_rows:
-            writer.writerow([_format_value(row[c]) for c in SUMMARY_COLUMNS])
+            writer.writerow([row[c] for c in SUMMARY_COLUMNS])
 
 
 def read_raw_csv(path) -> list:
     """Raw rows back from disk, for recomputing summaries."""
-    rows = []
+    parse = get_type_hints(RawRun)  # field name -> str, int or float
     with Path(path).open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            rows.append(
-                RawRun(
-                    family=rec["family"],
-                    param=int(rec["param"]),
-                    algorithm=rec["algorithm"],
-                    rep=int(rec["rep"]),
-                    seed=int(rec["seed"]),
-                    covered=int(rec["covered"]),
-                    feasible_covered=int(rec["feasible_covered"]),
-                    feasible_total=int(rec["feasible_total"]),
-                    target_count=int(rec["target_count"]),
-                    coverage_sum=float(rec["coverage_sum"]),
-                    suite_size=int(rec["suite_size"]),
-                    evaluations=int(rec["evaluations"]),
-                )
-            )
-    return rows
+        return [
+            RawRun(**{name: parse[name](rec[name]) for name in _RAW_FIELDS})
+            for rec in csv.DictReader(fh)
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,6 @@ class ArtificialProblem:
         self.r = r
         self.infeasible_count = infeasible_count if kind == INFEASIBLE else 0
         self.target_count = len(optima) + self.infeasible_count
-        self.family_count = self.target_count
         self.input_specs = (InputSpec(0, r, integer=True),)
         self._plateau_h = rho(0.1 * r)
         self._infeasible_h = rho(1.0)

@@ -466,7 +466,6 @@ class SutProblem:
         self.statement_count = len(d.statements)
         self.branch_site_count = len(d.branches)
         self.target_count = self.statement_count + 2 * self.branch_site_count
-        self.family_count = 1
         self.input_specs = d.input_specs
 
     def target_names(self) -> list:

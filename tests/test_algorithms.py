@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from suitesearch import algorithms
 from suitesearch.algorithms import (
     MioConfig,
     MosaConfig,
@@ -117,6 +118,12 @@ class TestConfigValidation:
             MosaConfig(crossover_probability=1.5)
         with pytest.raises(ValueError):
             WtsConfig(crossover_probability=-0.1)
+
+    def test_mio_schedule_checked_at_construction(self):
+        with pytest.raises(ValueError):
+            MioConfig(schedule=ParameterSchedule(n_end=0))
+        with pytest.raises(TypeError):
+            MioConfig(schedule={"n_end": 0})
 
 
 def small_problem(seed=1, z=5):
@@ -272,7 +279,7 @@ def _reference_crowding(rows, front, dist):
 class TestMosaRanking:
     def _pop(self, rows, z):
         return [
-            (TestCase(i, (i,)), HeuristicVector.from_dense(row))
+            (TestCase(i, (i,)), HeuristicVector.from_dense(row).dense())
             for i, row in enumerate(rows)
         ]
 
@@ -338,11 +345,33 @@ class TestMosaRanking:
             _reference_crowding(matrix.tolist(), list(range(6)), dist)
             assert _crowding(matrix, np.zeros(6, dtype=np.intp)).tolist() == dist
 
-    def test_preference_invariant_holds_during_search(self):
-        # Replays the ranking on live populations produced by a real run.
+    def test_preference_invariant_holds_during_search(self, monkeypatch):
+        # Checks every ranking of the live populations of a real run: rank 0
+        # is exactly the rows attaining some reachable uncovered target's best.
+        ranked = []
+
+        def checked_sort(population, uncovered):
+            order, ranks = _mosa_sort(population, uncovered)
+            preferred = set()
+            for k in uncovered:
+                column = [float(row[k]) for _, row in population]
+                best = max(column)
+                if best > 0.0:
+                    preferred.update(i for i, v in enumerate(column) if v == best)
+            if preferred:
+                assert {i for i, r in enumerate(ranks) if r == 0} == preferred
+            else:
+                assert ranks == [0] * len(population)
+            ranked.append(len(preferred) < len(population))
+            return order, ranks
+
+        monkeypatch.setattr(algorithms, "_mosa_sort", checked_sort)
         problem = small_problem(17, z=10)
         result = run_mosa(problem, MosaConfig(), Budget(500), random.Random(11))
         assert result.evaluations == 500 or result.covered_count == 10
+        # The initial ranking plus one per generation, most with rows left
+        # for the Pareto fronts.
+        assert len(ranked) >= 5 and sum(ranked) >= 5
 
 
 class TestWtsExecution:

@@ -15,54 +15,62 @@ def multi(z, entries):
     return HeuristicVector(z, dict(entries))
 
 
+def stored(archive, k):
+    return [e.test.inputs for e in archive.populations[k].entries]
+
+
 class TestSaveRules:
     def test_admission_into_empty_population(self):
         archive = Archive(1)
-        report = archive.save(TestCase(0, (1,)), vec(1, 0, 0.4), capacity=10)
-        assert report.admitted == (0,)
-        assert report.counters_reset == (0,)
-        assert len(archive.populations[0].entries) == 1
+        archive.populations[0].counter = 3
+        archive.save(TestCase(0, (1,)), vec(1, 0, 0.4), capacity=10)
+        assert stored(archive, 0) == [(1,)]
+        assert archive.populations[0].counter == 0
 
     def test_zero_heuristic_never_admitted(self):
         archive = Archive(2)
-        report = archive.save(TestCase(0, (1,)), multi(2, [(1, 0.3)]), capacity=10)
-        assert 0 not in report.admitted
+        archive.populations[0].counter = 3
+        archive.save(TestCase(0, (1,)), multi(2, [(1, 0.3)]), capacity=10)
         assert not archive.populations[0].entries
+        assert archive.populations[0].counter == 3
+        assert stored(archive, 1) == [(1,)]
 
     def test_covering_test_shrinks_population_for_good(self):
         archive = Archive(1)
         for x in range(5):
             archive.save(TestCase(0, (x,)), vec(1, 0, 0.1 * (x + 1)), capacity=10)
         assert len(archive.populations[0].entries) == 5
-        report = archive.save(TestCase(0, (99,)), vec(1, 0, 1.0), capacity=10)
-        assert report.newly_covered == (0,)
+        assert archive.covered_targets() == []
+        archive.save(TestCase(0, (99,)), vec(1, 0, 1.0), capacity=10)
         pop = archive.populations[0]
         assert pop.covered
-        assert len(pop.entries) == 1
+        assert archive.covered_targets() == [0]
+        assert stored(archive, 0) == [(99,)]
         assert archive.covered_count == 1
 
     def test_covered_incumbent_only_replaced_by_shorter(self):
         archive = Archive(1)
         archive.save(TestCase(0, (1,), size=3), vec(1, 0, 1.0), capacity=10)
-        report = archive.save(TestCase(0, (2,), size=5), vec(1, 0, 1.0), capacity=10)
-        assert report.admitted == ()
-        assert archive.populations[0].entries[0].test.inputs == (1,)
+        archive.populations[0].counter = 5
+        archive.save(TestCase(0, (2,), size=5), vec(1, 0, 1.0), capacity=10)
+        assert stored(archive, 0) == [(1,)]
+        assert archive.populations[0].counter == 5
 
     def test_covered_incumbent_replaced_by_strictly_shorter(self):
         archive = Archive(1)
         archive.save(TestCase(0, (1,), size=3), vec(1, 0, 1.0), capacity=10)
-        report = archive.save(TestCase(0, (2,), size=2), vec(1, 0, 1.0), capacity=10)
-        assert report.admitted == (0,)
-        assert archive.populations[0].entries[0].test.inputs == (2,)
+        archive.populations[0].counter = 5
+        archive.save(TestCase(0, (2,), size=2), vec(1, 0, 1.0), capacity=10)
+        assert stored(archive, 0) == [(2,)]
+        assert archive.populations[0].counter == 0
 
     def test_covered_equal_size_needs_strictly_better_coverage_sum(self):
         archive = Archive(2)
         archive.save(TestCase(0, (1,)), multi(2, [(0, 1.0), (1, 0.2)]), capacity=10)
-        same = archive.save(TestCase(0, (2,)), multi(2, [(0, 1.0), (1, 0.2)]), capacity=10)
-        assert 0 not in same.admitted
-        better = archive.save(TestCase(0, (3,)), multi(2, [(0, 1.0), (1, 0.9)]), capacity=10)
-        assert 0 in better.admitted
-        assert archive.populations[0].entries[0].test.inputs == (3,)
+        archive.save(TestCase(0, (2,)), multi(2, [(0, 1.0), (1, 0.2)]), capacity=10)
+        assert stored(archive, 0) == [(1,)]
+        archive.save(TestCase(0, (3,)), multi(2, [(0, 1.0), (1, 0.9)]), capacity=10)
+        assert stored(archive, 0) == [(3,)]
 
     def test_full_population_tie_replaces_worst_without_reset(self):
         archive = Archive(1)
@@ -70,33 +78,33 @@ class TestSaveRules:
         archive.save(TestCase(0, (2,), size=2), vec(1, 0, 0.7), capacity=2)
         archive.populations[0].counter = 7
         candidate = TestCase(0, (3,), size=2)
-        report = archive.save(candidate, vec(1, 0, 0.5), capacity=2)
-        assert report.admitted == (0,)
-        assert report.counters_reset == ()
+        archive.save(candidate, vec(1, 0, 0.5), capacity=2)
         assert archive.populations[0].counter == 7
-        stored = {e.test.inputs for e in archive.populations[0].entries}
-        assert stored == {(2,), (3,)}
+        assert set(stored(archive, 0)) == {(2,), (3,)}
 
     def test_full_population_rejects_strictly_worse(self):
         archive = Archive(1)
         archive.save(TestCase(0, (1,)), vec(1, 0, 0.5), capacity=1)
-        report = archive.save(TestCase(0, (2,)), vec(1, 0, 0.4), capacity=1)
-        assert report.admitted == ()
+        archive.populations[0].counter = 4
+        archive.save(TestCase(0, (2,)), vec(1, 0, 0.4), capacity=1)
+        assert stored(archive, 0) == [(1,)]
+        assert archive.populations[0].counter == 4
 
     def test_strict_improvement_resets_counter(self):
         archive = Archive(1)
         archive.save(TestCase(0, (1,)), vec(1, 0, 0.5), capacity=1)
         archive.populations[0].counter = 4
-        report = archive.save(TestCase(0, (2,)), vec(1, 0, 0.6), capacity=1)
-        assert report.counters_reset == (0,)
+        archive.save(TestCase(0, (2,)), vec(1, 0, 0.6), capacity=1)
+        assert stored(archive, 0) == [(2,)]
         assert archive.populations[0].counter == 0
 
     def test_smaller_size_at_equal_h_counts_as_improvement(self):
         archive = Archive(1)
         archive.save(TestCase(0, (1,), size=5), vec(1, 0, 0.5), capacity=1)
         archive.populations[0].counter = 4
-        report = archive.save(TestCase(0, (2,), size=2), vec(1, 0, 0.5), capacity=1)
-        assert report.counters_reset == (0,)
+        archive.save(TestCase(0, (2,), size=2), vec(1, 0, 0.5), capacity=1)
+        assert stored(archive, 0) == [(2,)]
+        assert archive.populations[0].counter == 0
 
     def test_dimension_mismatch_rejected(self):
         archive = Archive(3)
@@ -106,8 +114,8 @@ class TestSaveRules:
     def test_one_save_feeds_many_populations(self):
         archive = Archive(3)
         h = multi(3, [(0, 0.2), (2, 1.0)])
-        report = archive.save(TestCase(1, (5,)), h, capacity=10)
-        assert set(report.admitted) == {0, 2}
+        archive.save(TestCase(1, (5,)), h, capacity=10)
+        assert [stored(archive, k) for k in range(3)] == [[(5,)], [], [(5,)]]
         assert archive.covered_targets() == [2]
 
 
@@ -121,7 +129,7 @@ class TestSampling:
 
     def test_fds_picks_lowest_counter_and_increments(self):
         archive = self._populated([3, 0, 7])
-        test = archive.sample(random.Random(1))
+        test = archive.sample_with_target(random.Random(1))[1]
         assert test.id == 1
         assert [p.counter for p in archive.populations] == [3, 1, 7]
 
@@ -135,7 +143,7 @@ class TestSampling:
     def test_single_population_sampled(self):
         archive = Archive(3)
         archive.save(TestCase(2, (9,)), vec(3, 2, 0.3), capacity=10)
-        assert archive.sample(random.Random(0)).id == 2
+        assert archive.sample_with_target(random.Random(0))[1].id == 2
 
     def test_uniform_sampling_when_fds_disabled(self):
         seen = {
@@ -155,13 +163,13 @@ class TestSampling:
         archive.save(TestCase(0, (1,)), vec(2, 0, 1.0), capacity=10)
         archive.save(TestCase(1, (2,)), vec(2, 1, 1.0), capacity=10)
         before = [p.counter for p in archive.populations]
-        ids = {archive.sample(random.Random(s)).id for s in range(20)}
+        ids = {archive.sample_with_target(random.Random(s))[1].id for s in range(20)}
         assert ids == {0, 1}
         assert [p.counter for p in archive.populations] == before
 
     def test_empty_archive_raises(self):
         with pytest.raises(EmptyArchiveError):
-            Archive(2).sample(random.Random(0))
+            Archive(2).sample_with_target(random.Random(0))
 
 
 class TestShrinkAndExtract:
@@ -249,7 +257,8 @@ def test_archive_invariants_hold_under_any_save_sequence(ops, capacity):
                 assert entry.h > 0.0, "zero-heuristic tests must never be stored"
             total += len(pop.entries)
         assert total <= capacity * 4
-        assert total == archive.total_entries
+        assert archive.is_empty() == (total == 0)
+        assert archive.covered_count == sum(p.covered for p in archive.populations)
 
 
 # A full-population save offers heuristics that tie on h and size, with the
@@ -307,7 +316,7 @@ def test_stagnant_target_counter_never_resets():
     best = 0.5
     stuck_history = []
     for step in range(1, 200):
-        archive.sample(rng)
+        archive.sample_with_target(rng)
         stuck_history.append(archive.populations[1].counter)
         if step % 10 == 0:
             best = min(1.0 - 1e-9, best + 0.002)  # improvement script for target 0

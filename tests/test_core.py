@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,8 +10,6 @@ from suitesearch.core import (
     HeuristicVector,
     ParameterSchedule,
     TestCase,
-    consume_evaluation,
-    schedule_value,
 )
 
 DEFAULT = ParameterSchedule()  # F=0.5, Pr 0.5->0, n 10->1, m 1->10
@@ -19,19 +18,19 @@ DEFAULT = ParameterSchedule()  # F=0.5, Pr 0.5->0, n 10->1, m 1->10
 class TestScheduleValues:
     def test_pr_decays_to_published_midpoint_value(self):
         # At 30% of the budget with focus at 50%, Pr has moved 0.5 -> 0.2.
-        assert schedule_value(DEFAULT, "pr", 0.3) == pytest.approx(0.2, abs=1e-12)
+        assert DEFAULT.pr(0.3) == pytest.approx(0.2, abs=1e-12)
 
     def test_pr_starts_at_start_value(self):
-        assert schedule_value(DEFAULT, "pr", 0.0) == 0.5
+        assert DEFAULT.pr(0.0) == 0.5
 
     def test_integer_rounding_half_away_from_zero(self):
         # n: 10 + (1 - 10) * 0.5 = 5.5, which rounds away from zero to 6.
-        assert schedule_value(DEFAULT, "n", 0.25) == 6
+        assert DEFAULT.n(0.25) == 6
 
     def test_m_grows_toward_focus(self):
-        assert schedule_value(DEFAULT, "m", 0.0) == 1
-        assert schedule_value(DEFAULT, "m", 0.5) == 10
-        assert schedule_value(DEFAULT, "m", 1.0) == 10
+        assert DEFAULT.m(0.0) == 1
+        assert DEFAULT.m(0.5) == 10
+        assert DEFAULT.m(1.0) == 10
 
     def test_zero_focus_fraction_switches_immediately(self):
         sched = ParameterSchedule(focus_fraction=0.0)
@@ -39,10 +38,6 @@ class TestScheduleValues:
         assert sched.pr(1e-9) == 0.0
         assert sched.n(0.0) == 10
         assert sched.n(0.5) == 1
-
-    def test_unknown_parameter_rejected(self):
-        with pytest.raises(ValueError):
-            schedule_value(DEFAULT, "q", 0.1)
 
     def test_out_of_range_t_rejected(self):
         with pytest.raises(ValueError):
@@ -88,14 +83,16 @@ class TestScheduleValues:
 class TestBudget:
     def test_consume_counts_and_reports_remaining(self):
         budget = Budget(1000)
-        assert consume_evaluation(budget) is True
+        budget.consume()
         assert budget.used_evaluations == 1
+        assert budget.has_remaining()
 
     def test_last_evaluation_reports_exhaustion(self):
         budget = Budget(1000)
         budget.used_evaluations = 999
-        assert budget.consume() is False
+        budget.consume()
         assert budget.used_evaluations == 1000
+        assert not budget.has_remaining()
 
     def test_overdraw_raises(self):
         budget = Budget(1000)
@@ -145,7 +142,8 @@ class TestHeuristicVector:
         assert len(h) == 4
         assert h[2] == 0.25
         assert h[0] == 0.0
-        assert h.dense() == [0.0, 0.0, 0.25, 0.0]
+        assert h.dense().dtype == np.float32
+        assert h.dense().tolist() == [0.0, 0.0, 0.25, 0.0]
         assert h.sum() == 0.25
 
     def test_from_dense_drops_zeros(self):

@@ -53,7 +53,7 @@ class TestArtificialLandscapes:
     def test_other_targets_score_zero(self):
         p = make("gradient", (100, 200, 300))
         h = p.evaluate(TestCase(1, (200,)))
-        assert h.dense() == [0.0, 1.0, 0.0]
+        assert h.dense().tolist() == [0.0, 1.0, 0.0]
 
     def test_gradient_strictly_decreases_with_distance(self):
         p = make("gradient", (20,), r=50)
@@ -89,7 +89,7 @@ class TestArtificialLandscapes:
     def test_evaluation_is_pure(self):
         p = ArtificialProblem.random_instance("plateau", random.Random(5), z=4)
         t = TestCase(2, (123,))
-        assert p.evaluate(t).dense() == p.evaluate(t).dense()
+        assert dict(p.evaluate(t).items()) == dict(p.evaluate(t).items())
 
     def test_out_of_range_inputs_rejected(self):
         p = make("gradient", (10, 20))

@@ -2,9 +2,7 @@
 
 from .algorithms import (
     MioConfig,
-    MosaConfig,
     SearchResult,
-    WtsConfig,
     mutate,
     run_mio,
     run_mosa,
@@ -57,7 +55,6 @@ __all__ = [
     "HeuristicVector",
     "InputSpec",
     "MioConfig",
-    "MosaConfig",
     "ParameterSchedule",
     "RawRun",
     "ScoredTest",
@@ -67,7 +64,6 @@ __all__ = [
     "SUT_NAMES",
     "TargetPopulation",
     "TestCase",
-    "WtsConfig",
     "branch_distances",
     "derive_seed",
     "emit_csv",

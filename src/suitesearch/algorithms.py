@@ -8,10 +8,14 @@ from the search strategy itself:
   sampling, scheduled capacities, a scheduled number of hill-climbing
   mutations per sampled parent, and feedback-directed target selection.
 * ``run_mosa``: many-objective GA over single tests with preference
-  sorting ahead of non-dominated ranking.
+  sorting ahead of non-dominated ranking; offspring come from rank
+  tournaments and mutation, without crossover.
 * ``run_wts``: GA whose individuals are whole test suites, with suite
-  fitness summed over every target.
+  fitness summed over every target, suite crossover and elitism.
 * ``run_random``: uniform random sampling.
+
+MOSA and WTS run at one fixed setting each, the module constants below;
+only MIO takes a config.
 
 Every test execution consumes exactly one unit of budget, including
 population initialization and the evaluation of fresh tests inside newly
@@ -35,6 +39,15 @@ MAX_STEP_EXPONENT = 10
 # Per-target population capacity used by the algorithms that do not
 # schedule it (MOSA, WTS, random search share the archive machinery).
 FIXED_ARCHIVE_CAPACITY = 10
+# The fixed settings of MOSA and WTS.
+POPULATION_SIZE = 50
+TOURNAMENT_SIZE = 10
+WTS_MAX_SUITE_SIZE = 50
+WTS_CROSSOVER_P = 0.7
+# WTS suite mutation: add a test, remove one, or (the remaining third)
+# mutate one.
+SUITE_ADD_P = 1.0 / 3.0
+SUITE_REMOVE_P = 1.0 / 3.0
 
 
 @dataclass(frozen=True)
@@ -47,40 +60,6 @@ class MioConfig:
     def __post_init__(self):
         if not isinstance(self.schedule, ParameterSchedule):
             raise TypeError(f"schedule must be a ParameterSchedule, got {self.schedule!r}")
-
-
-@dataclass(frozen=True)
-class MosaConfig:
-    population_size: int = 50
-    tournament_size: int = 10
-    crossover_enabled: bool = False
-    crossover_probability: float = 0.75
-
-    def __post_init__(self):
-        if self.population_size < 1:
-            raise ValueError("population_size must be >= 1")
-        if not 1 <= self.tournament_size <= self.population_size:
-            raise ValueError("tournament_size must be in [1, population_size]")
-        if not 0.0 <= self.crossover_probability <= 1.0:
-            raise ValueError("crossover_probability must be in [0, 1]")
-
-
-@dataclass(frozen=True)
-class WtsConfig:
-    population_size: int = 50
-    max_suite_size: int = 50
-    crossover_probability: float = 0.7
-    add_weight: float = 1.0 / 3.0
-    remove_weight: float = 1.0 / 3.0
-    modify_weight: float = 1.0 / 3.0
-    tournament_size: int = 10
-
-    def __post_init__(self):
-        if not 0.0 <= self.crossover_probability <= 1.0:
-            raise ValueError("crossover_probability must be in [0, 1]")
-        total = self.add_weight + self.remove_weight + self.modify_weight
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError("suite mutation weights must sum to 1")
 
 
 @dataclass
@@ -196,13 +175,13 @@ def run_random(problem, budget: Budget, rng) -> SearchResult:
 # ---------------------------------------------------------------------------
 
 
-def run_mosa(problem, config: MosaConfig, budget: Budget, rng) -> SearchResult:
+def run_mosa(problem, budget: Budget, rng) -> SearchResult:
     z = problem.target_count
     archive = Archive(z)
     trace: list = []
 
     population: list = []  # (test, dense heuristic row) pairs
-    while len(population) < config.population_size:
+    while len(population) < POPULATION_SIZE:
         if not budget.has_remaining() or archive.covered_count >= z:
             return _finish(archive, trace, budget)
         test = problem.random_test(rng)
@@ -216,22 +195,18 @@ def run_mosa(problem, config: MosaConfig, budget: Budget, rng) -> SearchResult:
 
     while budget.has_remaining() and archive.covered_count < z:
         offspring: list = []
-        while len(offspring) < config.population_size:
+        while len(offspring) < POPULATION_SIZE:
             if not budget.has_remaining() or archive.covered_count >= z:
                 break
             rank_key = lambda i: ranks[i]
             first = population[
-                _tournament_min(rng, len(population), config.tournament_size, rank_key)
+                _tournament_min(rng, len(population), TOURNAMENT_SIZE, rank_key)
             ][0]
             second = population[
-                _tournament_min(rng, len(population), config.tournament_size, rank_key)
+                _tournament_min(rng, len(population), TOURNAMENT_SIZE, rank_key)
             ][0]
-            if config.crossover_enabled and rng.random() < config.crossover_probability:
-                children = _test_crossover(first, second, rng)
-            else:
-                children = (first, second)
-            for child in children:
-                if len(offspring) >= config.population_size:
+            for child in (first, second):
+                if len(offspring) >= POPULATION_SIZE:
                     break
                 if not budget.has_remaining() or archive.covered_count >= z:
                     break
@@ -244,7 +219,7 @@ def run_mosa(problem, config: MosaConfig, budget: Budget, rng) -> SearchResult:
         combined = population + offspring
         uncovered = _uncovered_ids(archive, z)
         order, ranks_all = _mosa_sort(combined, uncovered)
-        keep = order[: config.population_size]
+        keep = order[:POPULATION_SIZE]
         population = [combined[i] for i in keep]
         ranks = [ranks_all[i] for i in keep]
     return _finish(archive, trace, budget)
@@ -264,19 +239,6 @@ def _tournament_min(rng, pool_size: int, k: int, key) -> int:
         if key_i < best_key:
             best, best_key = i, key_i
     return best
-
-
-def _test_crossover(t1: TestCase, t2: TestCase, rng):
-    """Single-point crossover over the (id, inputs...) genome."""
-    g1 = (t1.id,) + t1.inputs
-    g2 = (t2.id,) + t2.inputs
-    cut = rng.randint(1, len(g1) - 1)
-    c1 = g1[:cut] + g2[cut:]
-    c2 = g2[:cut] + g1[cut:]
-    return (
-        TestCase(c1[0], c1[1:], t1.size),
-        TestCase(c2[0], c2[1:], t2.size),
-    )
 
 
 def _mosa_sort(population, uncovered):
@@ -353,7 +315,7 @@ def _crowding(matrix: np.ndarray, rank: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def run_wts(problem, config: WtsConfig, budget: Budget, rng) -> SearchResult:
+def run_wts(problem, budget: Budget, rng) -> SearchResult:
     """Whole-suite GA.
 
     A suite is a list of (test, dense heuristic row) members. A member keeps
@@ -391,12 +353,12 @@ def run_wts(problem, config: WtsConfig, budget: Budget, rng) -> SearchResult:
         return z - float(best.sum())
 
     population: list = []
-    while len(population) < config.population_size:
+    while len(population) < POPULATION_SIZE:
         if not budget.has_remaining() or archive.covered_count >= z:
             return _finish(archive, trace, budget)
         suite = [
             (problem.random_test(rng), None)
-            for _ in range(rng.randint(1, config.max_suite_size))
+            for _ in range(rng.randint(1, WTS_MAX_SUITE_SIZE))
         ]
         if not execute_missing(suite):
             return _finish(archive, trace, budget)
@@ -407,24 +369,22 @@ def run_wts(problem, config: WtsConfig, budget: Budget, rng) -> SearchResult:
     while budget.has_remaining() and archive.covered_count < z:
         elite = min(range(len(population)), key=lambda i: (fits[i], i))
         offspring: list = [list(population[elite])]
-        while len(offspring) < config.population_size:
+        while len(offspring) < POPULATION_SIZE:
             i = _tournament_min(
-                rng, len(population), config.tournament_size,
+                rng, len(population), TOURNAMENT_SIZE,
                 key=lambda i: (fits[i], i),
             )
             j = _tournament_min(
-                rng, len(population), config.tournament_size,
+                rng, len(population), TOURNAMENT_SIZE,
                 key=lambda i: (fits[i], i),
             )
-            if rng.random() < config.crossover_probability:
-                c1, c2 = _suite_crossover(
-                    population[i], population[j], config.max_suite_size, rng
-                )
+            if rng.random() < WTS_CROSSOVER_P:
+                c1, c2 = _suite_crossover(population[i], population[j], rng)
             else:
                 c1, c2 = list(population[i]), list(population[j])
             for child in (c1, c2):
-                _mutate_suite(child, problem, config, rng)
-                if len(offspring) < config.population_size:
+                _mutate_suite(child, problem, rng)
+                if len(offspring) < POPULATION_SIZE:
                     offspring.append(child)
         alive: list = []
         for suite in offspring:
@@ -437,27 +397,27 @@ def run_wts(problem, config: WtsConfig, budget: Budget, rng) -> SearchResult:
         pool = population + alive
         pool_fits = fits + [fitness(s) for s in alive]
         order = sorted(range(len(pool)), key=lambda i: (pool_fits[i], i))
-        keep = order[: config.population_size]
+        keep = order[:POPULATION_SIZE]
         population = [pool[i] for i in keep]
         fits = [pool_fits[i] for i in keep]
     return _finish(archive, trace, budget)
 
 
-def _suite_crossover(p1: list, p2: list, max_size: int, rng):
+def _suite_crossover(p1: list, p2: list, rng):
     alpha = rng.random()
     i = int(round(alpha * len(p1)))
     j = int(round(alpha * len(p2)))
-    c1 = (p1[:i] + p2[j:])[:max_size]
-    c2 = (p2[:j] + p1[i:])[:max_size]
+    c1 = (p1[:i] + p2[j:])[:WTS_MAX_SUITE_SIZE]
+    c2 = (p2[:j] + p1[i:])[:WTS_MAX_SUITE_SIZE]
     return (c1 or list(p1), c2 or list(p2))
 
 
-def _mutate_suite(suite: list, problem, config: WtsConfig, rng):
+def _mutate_suite(suite: list, problem, rng):
     roll = rng.random()
-    if roll < config.add_weight:
-        if len(suite) < config.max_suite_size:
+    if roll < SUITE_ADD_P:
+        if len(suite) < WTS_MAX_SUITE_SIZE:
             suite.append((problem.random_test(rng), None))
-    elif roll < config.add_weight + config.remove_weight:
+    elif roll < SUITE_ADD_P + SUITE_REMOVE_P:
         if len(suite) > 1:
             del suite[rng.randrange(len(suite))]
     else:

@@ -50,6 +50,14 @@ def _parse_int_list(text: str, flag: str) -> tuple:
     return tuple(values)
 
 
+def _check_reps_workers(reps: int, workers: int):
+    """The flag checks every plan-running subcommand shares."""
+    if reps < 1:
+        raise CliError("--reps: must be >= 1")
+    if workers < 1:
+        raise CliError("--workers: must be >= 1")
+
+
 def _build_run_plan(args) -> tuple:
     options = {}
     if args.config:
@@ -94,10 +102,7 @@ def _build_run_plan(args) -> tuple:
         raise CliError(f"bad numeric option: {exc}") from None
     if budget < 0:
         raise CliError("--budget: must be >= 0")
-    if reps < 1:
-        raise CliError("--reps: must be >= 1")
-    if workers < 1:
-        raise CliError("--workers: must be >= 1")
+    _check_reps_workers(reps, workers)
     out_dir = pick(args.out_dir, "out_dir", "results")
     plan = ExperimentPlan(
         family=family,
@@ -121,18 +126,11 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_replicate_figures(args) -> int:
-    for family, plan in figure_plans(args.seed, args.reps).items():
+def _replicate(args, make_plans, prefix: str) -> int:
+    _check_reps_workers(args.reps, args.workers)
+    for name, plan in make_plans(args.seed, args.reps).items():
         result = run_plan(plan, workers=args.workers)
-        paths = emit_csv(result, Path(args.out_dir) / f"fig-{family}")
-        print(f"{family}: {len(result.rows)} runs -> {paths['summary']}")
-    return 0
-
-
-def _cmd_replicate_table1(args) -> int:
-    for name, plan in sut_plans(args.seed, args.reps).items():
-        result = run_plan(plan, workers=args.workers)
-        paths = emit_csv(result, Path(args.out_dir) / f"table1-{name}")
+        paths = emit_csv(result, Path(args.out_dir) / f"{prefix}-{name}")
         print(f"{name}: {len(result.rows)} runs -> {paths['summary']}")
     return 0
 
@@ -173,14 +171,14 @@ def _make_parser() -> argparse.ArgumentParser:
     fig_p.add_argument("--reps", type=int, default=100)
     fig_p.add_argument("--seed", type=int, default=1)
     fig_p.add_argument("--workers", type=int, default=1)
-    fig_p.set_defaults(func=_cmd_replicate_figures)
+    fig_p.set_defaults(func=lambda args: _replicate(args, figure_plans, "fig"))
 
     tab_p = sub.add_parser("replicate-table1", help="run the three-subject comparison")
     tab_p.add_argument("--out-dir", dest="out_dir", default="table1")
     tab_p.add_argument("--reps", type=int, default=100)
     tab_p.add_argument("--seed", type=int, default=1)
     tab_p.add_argument("--workers", type=int, default=1)
-    tab_p.set_defaults(func=_cmd_replicate_table1)
+    tab_p.set_defaults(func=lambda args: _replicate(args, sut_plans, "table1"))
 
     st_p = sub.add_parser("stats", help="recompute a summary from a raw.csv")
     st_p.add_argument("raw_csv")

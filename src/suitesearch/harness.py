@@ -21,15 +21,7 @@ from multiprocessing import get_context
 from pathlib import Path
 from typing import get_type_hints
 
-from .algorithms import (
-    MioConfig,
-    MosaConfig,
-    WtsConfig,
-    run_mio,
-    run_mosa,
-    run_random,
-    run_wts,
-)
+from .algorithms import MioConfig, run_mio, run_mosa, run_random, run_wts
 from .core import Budget
 from .problems import ARTIFICIAL_KINDS, INFEASIBLE, SUT_NAMES, ArtificialProblem, SutProblem
 from .stats import mann_whitney_u, vargha_delaney_a12
@@ -69,7 +61,11 @@ SUMMARY_COLUMNS = (
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """A family of instances crossed with algorithms, seeds and a budget."""
+    """A family of instances crossed with algorithms, seeds and a budget.
+
+    Its values are checked when it is built; cell parameters are checked
+    per cell by :meth:`cell_is_valid`.
+    """
 
     family: str
     params: tuple = (0,)
@@ -79,10 +75,8 @@ class ExperimentPlan:
     base_seed: int = 1
     r: int = 1000
     mio: MioConfig = MioConfig()
-    mosa: MosaConfig = MosaConfig()
-    wts: WtsConfig = WtsConfig()
 
-    def validate(self):
+    def __post_init__(self):
         if self.family not in ARTIFICIAL_KINDS and self.family not in SUT_NAMES:
             raise ValueError(f"unknown problem family {self.family!r}")
         if not self.algorithms:
@@ -96,6 +90,8 @@ class ExperimentPlan:
             raise ValueError("repetitions must be >= 1")
         if self.budget < 0:
             raise ValueError("budget must be >= 0")
+        if self.r < 1:
+            raise ValueError("r must be >= 1")
 
     def cell_is_valid(self, param) -> str | None:
         """Reason the cell is invalid, or None when runnable."""
@@ -171,9 +167,9 @@ def run_algorithm(name: str, problem, budget: Budget, rng, plan: ExperimentPlan)
     if name == "mio-nofds":
         return run_mio(problem, replace(plan.mio, fds_enabled=False), budget, rng)
     if name == "mosa":
-        return run_mosa(problem, plan.mosa, budget, rng)
+        return run_mosa(problem, budget, rng)
     if name == "wts":
-        return run_wts(problem, plan.wts, budget, rng)
+        return run_wts(problem, budget, rng)
     if name == "random":
         return run_random(problem, budget, rng)
     raise ValueError(f"unknown algorithm {name!r}")
@@ -224,7 +220,6 @@ def run_plan(plan: ExperimentPlan, workers: int = 1) -> ExperimentResult:
     Invalid cells are reported in ``result.skipped``, never silently
     dropped. The outcome is bit-identical for any worker count.
     """
-    plan.validate()
     skipped = []
     work = []
     for param in plan.params:
@@ -353,11 +348,21 @@ def write_summary(summary_rows, path):
 def read_raw_csv(path) -> list:
     """Raw rows back from disk, for recomputing summaries."""
     parse = get_type_hints(RawRun)  # field name -> str, int or float
+    rows = []
     with Path(path).open(newline="") as fh:
-        return [
-            RawRun(**{name: parse[name](rec[name]) for name in _RAW_FIELDS})
-            for rec in csv.DictReader(fh)
-        ]
+        reader = csv.DictReader(fh)
+        for rec in reader:
+            try:
+                # DictReader files a long row's extra fields under None and
+                # fills a short row's missing fields with None.
+                if None in rec or None in rec.values():
+                    raise ValueError(f"expected {len(reader.fieldnames)} fields")
+                rows.append(RawRun(**{name: parse[name](rec[name]) for name in _RAW_FIELDS}))
+            except KeyError as exc:
+                raise ValueError(f"{path}: no column {exc.args[0]!r}") from None
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,6 @@ from hypothesis import given, settings, strategies as st
 from suitesearch import algorithms
 from suitesearch.algorithms import (
     MioConfig,
-    MosaConfig,
-    WtsConfig,
     _crowding,
     _mosa_sort,
     mutate,
@@ -23,9 +21,9 @@ from suitesearch.problems import ArtificialProblem, SutProblem
 
 ALGORITHMS = {
     "mio": lambda p, b, rng: run_mio(p, MioConfig(), b, rng),
-    "mosa": lambda p, b, rng: run_mosa(p, MosaConfig(), b, rng),
-    "wts": lambda p, b, rng: run_wts(p, WtsConfig(), b, rng),
-    "random": lambda p, b, rng: run_random(p, b, rng),
+    "mosa": run_mosa,
+    "wts": run_wts,
+    "random": run_random,
 }
 
 
@@ -105,20 +103,6 @@ class TestMutate:
 
 
 class TestConfigValidation:
-    def test_mosa_tournament_bounded_by_population(self):
-        with pytest.raises(ValueError):
-            MosaConfig(population_size=5, tournament_size=10)
-
-    def test_wts_weights_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            WtsConfig(add_weight=0.5, remove_weight=0.5, modify_weight=0.5)
-
-    def test_crossover_probability_bounds(self):
-        with pytest.raises(ValueError):
-            MosaConfig(crossover_probability=1.5)
-        with pytest.raises(ValueError):
-            WtsConfig(crossover_probability=-0.1)
-
     def test_mio_schedule_checked_at_construction(self):
         with pytest.raises(ValueError):
             MioConfig(schedule=ParameterSchedule(n_end=0))
@@ -169,14 +153,14 @@ class TestBudgetDiscipline:
     def test_population_larger_than_budget_still_yields_archive(self):
         # MOSA terminates during initialization but keeps what it saw.
         problem = ArtificialProblem("gradient", (5,), r=10)
-        result = run_mosa(problem, MosaConfig(), Budget(20), random.Random(0))
+        result = run_mosa(problem, Budget(20), random.Random(0))
         assert result.evaluations == 20 or result.covered_count == 1
 
     def test_wts_at_low_budget_spends_everything_on_initialization(self):
         # Expected first-population cost is 50 * (50/2) = 1250 > 1000.
         problem = small_problem(9, z=20)
         for seed in range(5):
-            result = run_wts(problem, WtsConfig(), Budget(1000), random.Random(seed))
+            result = run_wts(problem, Budget(1000), random.Random(seed))
             assert result.evaluations == 1000
 
 
@@ -367,7 +351,7 @@ class TestMosaRanking:
 
         monkeypatch.setattr(algorithms, "_mosa_sort", checked_sort)
         problem = small_problem(17, z=10)
-        result = run_mosa(problem, MosaConfig(), Budget(500), random.Random(11))
+        result = run_mosa(problem, Budget(500), random.Random(11))
         assert result.evaluations == 500 or result.covered_count == 10
         # The initial ranking plus one per generation, most with rows left
         # for the Pareto fronts.
@@ -389,7 +373,7 @@ class TestWtsExecution:
             return evaluate(test)
 
         problem.evaluate = counting_evaluate
-        result = run_wts(problem, WtsConfig(), Budget(400), random.Random(5))
+        result = run_wts(problem, Budget(400), random.Random(5))
         assert len(executed) == len(set(executed))
         assert result.evaluations == len(set(executed))
 

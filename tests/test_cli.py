@@ -103,8 +103,55 @@ class TestStatsCommand:
         raw.write_text("schema_version,family\n")
         assert run_cli("stats", str(raw)) == 2
 
+    def _raw(self, tmp_path):
+        out = tmp_path / "exp"
+        assert run_cli(
+            "run", "--family", "gradient", "--z-list", "1", "--budget", "20",
+            "--reps", "1", "--seed", "5", "--algorithms", "random",
+            "--out-dir", str(out),
+        ) == 0
+        return out / "raw.csv"
+
+    def test_missing_column_names_file_and_column(self, tmp_path, capsys):
+        raw = self._raw(tmp_path)
+        rows = list(csv.reader(raw.open(newline="")))
+        drop = rows[0].index("covered")
+        with raw.open("w", newline="") as fh:
+            csv.writer(fh).writerows([r[:drop] + r[drop + 1:] for r in rows])
+        capsys.readouterr()
+        assert run_cli("stats", str(raw)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert str(raw) in err and "'covered'" in err
+
+    @pytest.mark.parametrize(
+        "edit", [lambda line: line.rsplit(",", 3)[0], lambda line: line + ",7"],
+        ids=["short", "long"],
+    )
+    def test_bad_row_names_file_and_line(self, edit, tmp_path, capsys):
+        raw = self._raw(tmp_path)
+        lines = raw.read_text().splitlines()
+        raw.write_text("\n".join(lines[:-1] + [edit(lines[-1])]) + "\n")
+        capsys.readouterr()
+        assert run_cli("stats", str(raw)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert str(raw) in err and f"line {len(lines)}" in err
+
 
 class TestReplicationCommands:
+    @pytest.mark.parametrize("command", ["run", "replicate-figures", "replicate-table1"])
+    @pytest.mark.parametrize(
+        "flags", [("--reps", "0"), ("--workers", "-3", "--reps", "1")], ids=["reps", "workers"]
+    )
+    def test_count_flags_checked_alike(self, command, flags, tmp_path, capsys):
+        # --reps 1 keeps the run tiny should the --workers check be missing.
+        extra = ("--family", "triangle", "--budget", "10") if command == "run" else ()
+        code = run_cli(command, *extra, *flags, "--out-dir", str(tmp_path))
+        assert code == 2
+        assert flags[0] in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_replicate_figures_tiny(self, tmp_path):
         code = run_cli(
             "replicate-figures", "--out-dir", str(tmp_path), "--reps", "1",

@@ -86,6 +86,22 @@ class TestRunPlan:
         with pytest.raises(ValueError):
             run_plan(small_plan(algorithms=("mio", "mio")))
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(family="ridge"),
+            dict(algorithms=()),
+            dict(algorithms=("mio", "annealing")),
+            dict(algorithms=("mio", "mio")),
+            dict(repetitions=0),
+            dict(budget=-1),
+            dict(r=0),
+        ],
+    )
+    def test_invalid_plan_rejected_at_construction(self, bad):
+        with pytest.raises(ValueError):
+            small_plan(**bad)
+
     def test_infeasible_family_counts_feasible_separately(self):
         plan = small_plan(family="infeasible", params=(3,), algorithms=("random",))
         result = run_plan(plan)

@@ -37,7 +37,6 @@ from .problems import (
     SutFault,
     SutProblem,
     SUT_NAMES,
-    branch_distances,
     rho,
 )
 from .stats import mann_whitney_u, vargha_delaney_a12
@@ -64,7 +63,6 @@ __all__ = [
     "SUT_NAMES",
     "TargetPopulation",
     "TestCase",
-    "branch_distances",
     "derive_seed",
     "emit_csv",
     "figure_plans",

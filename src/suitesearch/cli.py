@@ -102,6 +102,8 @@ def _build_run_plan(args) -> tuple:
         raise CliError(f"bad numeric option: {exc}") from None
     if budget < 0:
         raise CliError("--budget: must be >= 0")
+    if r < 1:
+        raise CliError("--r: must be >= 1")
     _check_reps_workers(reps, workers)
     out_dir = pick(args.out_dir, "out_dir", "results")
     plan = ExperimentPlan(

@@ -176,20 +176,33 @@ def run_algorithm(name: str, problem, budget: Budget, rng, plan: ExperimentPlan)
 
 
 def _run_cell(args):
-    """One (instance parameter, repetition): all algorithms on one instance."""
+    """One (instance parameter, repetition): all algorithms on one instance.
+
+    A failure is re-raised as a RuntimeError that names the cell and, for a
+    failed run, the algorithm and its run seed.
+    """
     plan, param, rep = args
+    cell = f"family={plan.family} param={param} rep={rep}"
     instance_seed = derive_seed(plan.base_seed, plan.family, param, plan.r, rep)
     instance_rng = random.Random(instance_seed)
-    problem = build_problem(plan.family, param, instance_rng, plan.r)
+    try:
+        problem = build_problem(plan.family, param, instance_rng, plan.r)
+    except Exception as exc:
+        raise RuntimeError(f"cell {cell} instance_seed={instance_seed}: {exc!r}") from exc
     feasible = list(problem.feasible_targets())
     feasible_total = len(feasible)
     feasible_set = set(feasible)
     rows = []
     for name in plan.algorithms:
         run_seed = derive_seed(instance_seed, name)
-        result = run_algorithm(
-            name, problem, Budget(plan.budget), random.Random(run_seed), plan
-        )
+        try:
+            result = run_algorithm(
+                name, problem, Budget(plan.budget), random.Random(run_seed), plan
+            )
+        except Exception as exc:
+            raise RuntimeError(
+                f"cell {cell} algorithm={name} seed={run_seed}: {exc!r}"
+            ) from exc
         feasible_covered = sum(1 for k in result.covered_targets if k in feasible_set)
         rows.append(
             RawRun(
@@ -207,7 +220,7 @@ def _run_cell(args):
                 evaluations=result.evaluations,
             )
         )
-    note = f"family={plan.family} param={param} rep={rep} seed={instance_seed}"
+    note = f"{cell} seed={instance_seed}"
     manifest = problem.manifest()
     if "optima" in manifest:
         note += f" optima={manifest['optima']}"

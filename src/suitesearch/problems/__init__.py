@@ -10,7 +10,7 @@ from .artificial import (
     ArtificialProblem,
     rho,
 )
-from .suts import SUT_NAMES, SutFault, SutProblem, branch_distances
+from .suts import SUT_NAMES, SutFault, SutProblem
 
 __all__ = [
     "ARTIFICIAL_KINDS",
@@ -23,7 +23,6 @@ __all__ = [
     "SUT_NAMES",
     "SutProblem",
     "SutFault",
-    "branch_distances",
     "InputSpec",
 ]
 

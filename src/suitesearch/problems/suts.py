@@ -4,12 +4,17 @@ Three classic subjects are re-implemented with explicit statement and
 branch probes: the exponential integral ``expint(n, x)``, the regularized
 incomplete gamma complement ``gammq(a, x)`` and the three-integer triangle
 classifier. Every comparison in a predicate is its own branch site with two
-outcome targets (true/false); the recorder tracks, per site, whether each
-outcome was ever taken and the branch distance at the most recent
-evaluation. A statement target scores 1 when executed and 0 otherwise; a
-branch outcome scores 1 when taken, ``1 / (1 + d)`` when its predicate was
-reached but the outcome not taken, and 0 when the predicate was never
-reached.
+outcome targets (true/false). A statement target scores 1 when executed
+and 0 otherwise; a branch outcome scores 1 when taken, ``1 / (1 + d)`` when
+its predicate was reached but the outcome never taken, where ``d`` is the
+branch distance of that outcome at the latest evaluation of the predicate,
+and 0 when the predicate was never reached.
+
+Probes name their target by an integer slot, resolved by name from the
+declared statement and branch-site tuples once at import: statement ``i``
+is slot ``i`` of the recorder's statement list, and branch site ``j`` owns
+slots ``2j`` (true) and ``2j + 1`` (false). The declared tuples are the one
+source of the target names and their order.
 
 Numeric faults raised mid-execution (bad arguments, overflow, failed
 convergence) are part of the subjects' behaviour: the test simply scores
@@ -34,73 +39,93 @@ class SutFault(Exception):
     """Raised by a subject for invalid arguments or failed convergence."""
 
 
-def branch_distances(op: str, lhs: float, rhs: float, kappa: float = KAPPA_INT):
-    """Distances to make the comparison true and false: (outcome, d_true, d_false).
-
-    Each distance is 0 exactly when the corresponding outcome holds.
-    """
-    if op == "eq":
-        diff = lhs - rhs if lhs >= rhs else rhs - lhs
-        if diff == 0.0:
-            return True, 0.0, kappa
-        return False, diff, 0.0
-    if op == "ne":
-        diff = lhs - rhs if lhs >= rhs else rhs - lhs
-        if diff == 0.0:
-            return False, kappa, 0.0
-        return True, 0.0, diff
-    if op == "lt":
-        if lhs < rhs:
-            return True, 0.0, rhs - lhs
-        return False, lhs - rhs + kappa, 0.0
-    if op == "le":
-        if lhs <= rhs:
-            return True, 0.0, rhs - lhs + kappa
-        return False, lhs - rhs, 0.0
-    if op == "gt":
-        if lhs > rhs:
-            return True, 0.0, lhs - rhs
-        return False, rhs - lhs + kappa, 0.0
-    if op == "ge":
-        if lhs >= rhs:
-            return True, 0.0, lhs - rhs + kappa
-        return False, rhs - lhs, 0.0
-    raise ValueError(f"unknown comparison kind: {op!r}")
-
-
 @dataclass(frozen=True)
 class BranchSite:
     name: str
-    op: str
     kappa: float = KAPPA_INT
 
 
+def _stmt(statements: tuple, name: str) -> int:
+    """Slot of a declared statement."""
+    return statements.index(name)
+
+
+def _site(branches: tuple, name: str) -> int:
+    """Slot ``2j`` of declared branch site ``j``; its false outcome is ``2j + 1``."""
+    return 2 * [site.name for site in branches].index(name)
+
+
 class Recorder:
-    """Per-execution coverage state for one subject run."""
+    """Per-execution coverage state for one subject run.
 
-    __slots__ = ("_stmt_index", "_site_index", "_sites", "stmt_hits", "taken", "last_d")
+    ``stmt_hits[i]`` is set when statement ``i`` runs. For the outcome in
+    slot ``k`` (``2j + side`` of branch site ``j``), ``taken[k]`` is set
+    once it is taken, and ``dist[k]`` holds its branch distance from the
+    latest evaluation that did not take it (None until there is one).
 
-    def __init__(self, stmt_index, site_index, sites):
-        self._stmt_index = stmt_index
-        self._site_index = site_index
-        self._sites = sites
-        self.stmt_hits = [False] * len(stmt_index)
-        # Per site: [true_taken, false_taken], [last d_true, last d_false].
-        self.taken = [[False, False] for _ in sites]
-        self.last_d = [[None, None] for _ in sites]
+    Each comparison method takes the site's slot ``2j`` and its two
+    operands, returns the Python comparison, flags the side taken and
+    stores the other side's distance, which is positive; the taken side's
+    distance is 0 and is not stored. These methods are the one statement
+    of the distance rules. ``kappa[k]`` is the site's offset for strict
+    comparisons, the same for both of its slots.
+    """
 
-    def stmt(self, name: str):
-        self.stmt_hits[self._stmt_index[name]] = True
+    __slots__ = ("stmt_hits", "taken", "dist", "kappa")
 
-    def branch(self, name: str, lhs, rhs) -> bool:
-        j = self._site_index[name]
-        site = self._sites[j]
-        outcome, d_true, d_false = branch_distances(site.op, lhs, rhs, site.kappa)
-        self.taken[j][0 if outcome else 1] = True
-        d = self.last_d[j]
-        d[0] = d_true
-        d[1] = d_false
-        return outcome
+    def __init__(self, statement_count: int, kappa: tuple):
+        self.stmt_hits = [False] * statement_count
+        self.taken = [False] * len(kappa)
+        self.dist = [None] * len(kappa)
+        self.kappa = kappa
+
+    def stmt(self, i: int):
+        self.stmt_hits[i] = True
+
+    def eq(self, k: int, lhs, rhs) -> bool:
+        if lhs == rhs:
+            self.taken[k] = True
+            self.dist[k + 1] = self.kappa[k]
+            return True
+        self.taken[k + 1] = True
+        self.dist[k] = lhs - rhs if lhs >= rhs else rhs - lhs
+        return False
+
+    def ne(self, k: int, lhs, rhs) -> bool:
+        if lhs != rhs:
+            self.taken[k] = True
+            self.dist[k + 1] = lhs - rhs if lhs >= rhs else rhs - lhs
+            return True
+        self.taken[k + 1] = True
+        self.dist[k] = self.kappa[k]
+        return False
+
+    def lt(self, k: int, lhs, rhs) -> bool:
+        if lhs < rhs:
+            self.taken[k] = True
+            self.dist[k + 1] = rhs - lhs
+            return True
+        self.taken[k + 1] = True
+        self.dist[k] = lhs - rhs + self.kappa[k]
+        return False
+
+    def le(self, k: int, lhs, rhs) -> bool:
+        if lhs <= rhs:
+            self.taken[k] = True
+            self.dist[k + 1] = rhs - lhs + self.kappa[k]
+            return True
+        self.taken[k + 1] = True
+        self.dist[k] = lhs - rhs
+        return False
+
+    def gt(self, k: int, lhs, rhs) -> bool:
+        if lhs > rhs:
+            self.taken[k] = True
+            self.dist[k + 1] = lhs - rhs
+            return True
+        self.taken[k + 1] = True
+        self.dist[k] = rhs - lhs + self.kappa[k]
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -117,26 +142,30 @@ INVALID, SCALENE, ISOSCELES, EQUILATERAL = 0, 1, 2, 3
 
 
 def _triangle(rec: Recorder, a: int, b: int, c: int) -> int:
-    rec.stmt("entry")
-    if rec.branch("a<=0", a, 0) or rec.branch("b<=0", b, 0) or rec.branch("c<=0", c, 0):
-        rec.stmt("ret_nonpositive")
+    rec.stmt(_T_ENTRY)
+    if rec.le(_T_A_LE_0, a, 0) or rec.le(_T_B_LE_0, b, 0) or rec.le(_T_C_LE_0, c, 0):
+        rec.stmt(_T_RET_NONPOSITIVE)
         return INVALID
-    rec.stmt("check_sides")
+    rec.stmt(_T_CHECK_SIDES)
     if (
-        rec.branch("a+b<=c", a + b, c)
-        or rec.branch("a+c<=b", a + c, b)
-        or rec.branch("b+c<=a", b + c, a)
+        rec.le(_T_AB_LE_C, a + b, c)
+        or rec.le(_T_AC_LE_B, a + c, b)
+        or rec.le(_T_BC_LE_A, b + c, a)
     ):
-        rec.stmt("ret_not_triangle")
+        rec.stmt(_T_RET_NOT_TRIANGLE)
         return INVALID
-    rec.stmt("classify")
-    if rec.branch("a==b", a, b) and rec.branch("b==c", b, c):
-        rec.stmt("ret_equilateral")
+    rec.stmt(_T_CLASSIFY)
+    if rec.eq(_T_A_EQ_B, a, b) and rec.eq(_T_B_EQ_C, b, c):
+        rec.stmt(_T_RET_EQUILATERAL)
         return EQUILATERAL
-    if rec.branch("iso_a==b", a, b) or rec.branch("iso_b==c", b, c) or rec.branch("iso_a==c", a, c):
-        rec.stmt("ret_isosceles")
+    if (
+        rec.eq(_T_ISO_A_EQ_B, a, b)
+        or rec.eq(_T_ISO_B_EQ_C, b, c)
+        or rec.eq(_T_ISO_A_EQ_C, a, c)
+    ):
+        rec.stmt(_T_RET_ISOSCELES)
         return ISOSCELES
-    rec.stmt("ret_scalene")
+    rec.stmt(_T_RET_SCALENE)
     return SCALENE
 
 
@@ -152,89 +181,110 @@ _TRIANGLE_STATEMENTS = (
 )
 
 _TRIANGLE_BRANCHES = (
-    BranchSite("a<=0", "le"),
-    BranchSite("b<=0", "le"),
-    BranchSite("c<=0", "le"),
-    BranchSite("a+b<=c", "le"),
-    BranchSite("a+c<=b", "le"),
-    BranchSite("b+c<=a", "le"),
-    BranchSite("a==b", "eq"),
-    BranchSite("b==c", "eq"),
-    BranchSite("iso_a==b", "eq"),
-    BranchSite("iso_b==c", "eq"),
-    BranchSite("iso_a==c", "eq"),
+    BranchSite("a<=0"),
+    BranchSite("b<=0"),
+    BranchSite("c<=0"),
+    BranchSite("a+b<=c"),
+    BranchSite("a+c<=b"),
+    BranchSite("b+c<=a"),
+    BranchSite("a==b"),
+    BranchSite("b==c"),
+    BranchSite("iso_a==b"),
+    BranchSite("iso_b==c"),
+    BranchSite("iso_a==c"),
 )
+
+_T_ENTRY = _stmt(_TRIANGLE_STATEMENTS, "entry")
+_T_RET_NONPOSITIVE = _stmt(_TRIANGLE_STATEMENTS, "ret_nonpositive")
+_T_CHECK_SIDES = _stmt(_TRIANGLE_STATEMENTS, "check_sides")
+_T_RET_NOT_TRIANGLE = _stmt(_TRIANGLE_STATEMENTS, "ret_not_triangle")
+_T_CLASSIFY = _stmt(_TRIANGLE_STATEMENTS, "classify")
+_T_RET_EQUILATERAL = _stmt(_TRIANGLE_STATEMENTS, "ret_equilateral")
+_T_RET_ISOSCELES = _stmt(_TRIANGLE_STATEMENTS, "ret_isosceles")
+_T_RET_SCALENE = _stmt(_TRIANGLE_STATEMENTS, "ret_scalene")
+
+_T_A_LE_0 = _site(_TRIANGLE_BRANCHES, "a<=0")
+_T_B_LE_0 = _site(_TRIANGLE_BRANCHES, "b<=0")
+_T_C_LE_0 = _site(_TRIANGLE_BRANCHES, "c<=0")
+_T_AB_LE_C = _site(_TRIANGLE_BRANCHES, "a+b<=c")
+_T_AC_LE_B = _site(_TRIANGLE_BRANCHES, "a+c<=b")
+_T_BC_LE_A = _site(_TRIANGLE_BRANCHES, "b+c<=a")
+_T_A_EQ_B = _site(_TRIANGLE_BRANCHES, "a==b")
+_T_B_EQ_C = _site(_TRIANGLE_BRANCHES, "b==c")
+_T_ISO_A_EQ_B = _site(_TRIANGLE_BRANCHES, "iso_a==b")
+_T_ISO_B_EQ_C = _site(_TRIANGLE_BRANCHES, "iso_b==c")
+_T_ISO_A_EQ_C = _site(_TRIANGLE_BRANCHES, "iso_a==c")
 
 
 def _expint(rec: Recorder, n: int, x: float) -> float:
-    rec.stmt("entry")
+    rec.stmt(_E_ENTRY)
     if (
-        rec.branch("n<0", n, 0)
-        or rec.branch("x<0", x, 0.0)
+        rec.lt(_E_N_LT_0, n, 0)
+        or rec.lt(_E_X_LT_0, x, 0.0)
         or (
-            rec.branch("x==0", x, 0.0)
-            and (rec.branch("arg_n==0", n, 0) or rec.branch("arg_n==1", n, 1))
+            rec.eq(_E_X_EQ_0, x, 0.0)
+            and (rec.eq(_E_ARG_N_EQ_0, n, 0) or rec.eq(_E_ARG_N_EQ_1, n, 1))
         )
     ):
-        rec.stmt("raise_bad_args")
+        rec.stmt(_E_RAISE_BAD_ARGS)
         raise SutFault("bad arguments")
-    if rec.branch("n==0", n, 0):
-        rec.stmt("direct")
+    if rec.eq(_E_N_EQ_0, n, 0):
+        rec.stmt(_E_DIRECT)
         ans = math.exp(-x) / x
     else:
-        rec.stmt("setup")
+        rec.stmt(_E_SETUP)
         nm1 = n - 1
-        if rec.branch("inner_x==0", x, 0.0):
-            rec.stmt("pole_at_zero")
+        if rec.eq(_E_INNER_X_EQ_0, x, 0.0):
+            rec.stmt(_E_POLE_AT_ZERO)
             ans = 1.0 / nm1
-        elif rec.branch("x>1", x, 1.0):
-            rec.stmt("cf_init")
+        elif rec.gt(_E_X_GT_1, x, 1.0):
+            rec.stmt(_E_CF_INIT)
             b = x + n
             c = 1.0 / _FPMIN
             d = 1.0 / b
             h = d
             for i in range(1, _MAXIT + 1):
-                rec.stmt("cf_iter")
+                rec.stmt(_E_CF_ITER)
                 a = -i * (nm1 + i)
                 b += 2.0
                 d = 1.0 / (a * d + b)
                 c = b + a / c
                 delta = c * d
                 h *= delta
-                if rec.branch("cf_conv", abs(delta - 1.0), _EPS_EXPINT):
-                    rec.stmt("cf_return")
+                if rec.lt(_E_CF_CONV, abs(delta - 1.0), _EPS_EXPINT):
+                    rec.stmt(_E_CF_RETURN)
                     return h * math.exp(-x)
-            rec.stmt("raise_cf_fail")
+            rec.stmt(_E_RAISE_CF_FAIL)
             raise SutFault("continued fraction failed")
         else:
-            rec.stmt("series_init")
-            if rec.branch("nm1!=0", nm1, 0):
-                rec.stmt("series_pole")
+            rec.stmt(_E_SERIES_INIT)
+            if rec.ne(_E_NM1_NE_0, nm1, 0):
+                rec.stmt(_E_SERIES_POLE)
                 ans = 1.0 / nm1
             else:
-                rec.stmt("series_log")
+                rec.stmt(_E_SERIES_LOG)
                 ans = -math.log(x) - _EULER
             fact = 1.0
             for i in range(1, _MAXIT + 1):
-                rec.stmt("series_iter")
+                rec.stmt(_E_SERIES_ITER)
                 fact *= -x / i
-                if rec.branch("i!=nm1", i, nm1):
-                    rec.stmt("series_term")
+                if rec.ne(_E_I_NE_NM1, i, nm1):
+                    rec.stmt(_E_SERIES_TERM)
                     delta = -fact / (i - nm1)
                 else:
-                    rec.stmt("psi_init")
+                    rec.stmt(_E_PSI_INIT)
                     psi = -_EULER
                     for ii in range(1, nm1 + 1):
-                        rec.stmt("psi_iter")
+                        rec.stmt(_E_PSI_ITER)
                         psi += 1.0 / ii
                     delta = fact * (-math.log(x) + psi)
                 ans += delta
-                if rec.branch("series_conv", abs(delta), abs(ans) * _EPS_EXPINT):
-                    rec.stmt("series_return")
+                if rec.lt(_E_SERIES_CONV, abs(delta), abs(ans) * _EPS_EXPINT):
+                    rec.stmt(_E_SERIES_RETURN)
                     return ans
-            rec.stmt("raise_series_fail")
+            rec.stmt(_E_RAISE_SERIES_FAIL)
             raise SutFault("series failed")
-    rec.stmt("return_direct")
+    rec.stmt(_E_RETURN_DIRECT)
     return ans
 
 
@@ -261,23 +311,56 @@ _EXPINT_STATEMENTS = (
 )
 
 _EXPINT_BRANCHES = (
-    BranchSite("n<0", "lt"),
-    BranchSite("x<0", "lt", KAPPA_REAL),
-    BranchSite("x==0", "eq", KAPPA_REAL),
-    BranchSite("arg_n==0", "eq"),
-    BranchSite("arg_n==1", "eq"),
-    BranchSite("n==0", "eq"),
-    BranchSite("inner_x==0", "eq", KAPPA_REAL),
-    BranchSite("x>1", "gt", KAPPA_REAL),
-    BranchSite("cf_conv", "lt", KAPPA_REAL),
-    BranchSite("nm1!=0", "ne"),
-    BranchSite("i!=nm1", "ne"),
-    BranchSite("series_conv", "lt", KAPPA_REAL),
+    BranchSite("n<0"),
+    BranchSite("x<0", KAPPA_REAL),
+    BranchSite("x==0", KAPPA_REAL),
+    BranchSite("arg_n==0"),
+    BranchSite("arg_n==1"),
+    BranchSite("n==0"),
+    BranchSite("inner_x==0", KAPPA_REAL),
+    BranchSite("x>1", KAPPA_REAL),
+    BranchSite("cf_conv", KAPPA_REAL),
+    BranchSite("nm1!=0"),
+    BranchSite("i!=nm1"),
+    BranchSite("series_conv", KAPPA_REAL),
 )
+
+_E_ENTRY = _stmt(_EXPINT_STATEMENTS, "entry")
+_E_RAISE_BAD_ARGS = _stmt(_EXPINT_STATEMENTS, "raise_bad_args")
+_E_DIRECT = _stmt(_EXPINT_STATEMENTS, "direct")
+_E_SETUP = _stmt(_EXPINT_STATEMENTS, "setup")
+_E_POLE_AT_ZERO = _stmt(_EXPINT_STATEMENTS, "pole_at_zero")
+_E_CF_INIT = _stmt(_EXPINT_STATEMENTS, "cf_init")
+_E_CF_ITER = _stmt(_EXPINT_STATEMENTS, "cf_iter")
+_E_CF_RETURN = _stmt(_EXPINT_STATEMENTS, "cf_return")
+_E_RAISE_CF_FAIL = _stmt(_EXPINT_STATEMENTS, "raise_cf_fail")
+_E_SERIES_INIT = _stmt(_EXPINT_STATEMENTS, "series_init")
+_E_SERIES_POLE = _stmt(_EXPINT_STATEMENTS, "series_pole")
+_E_SERIES_LOG = _stmt(_EXPINT_STATEMENTS, "series_log")
+_E_SERIES_ITER = _stmt(_EXPINT_STATEMENTS, "series_iter")
+_E_SERIES_TERM = _stmt(_EXPINT_STATEMENTS, "series_term")
+_E_PSI_INIT = _stmt(_EXPINT_STATEMENTS, "psi_init")
+_E_PSI_ITER = _stmt(_EXPINT_STATEMENTS, "psi_iter")
+_E_SERIES_RETURN = _stmt(_EXPINT_STATEMENTS, "series_return")
+_E_RAISE_SERIES_FAIL = _stmt(_EXPINT_STATEMENTS, "raise_series_fail")
+_E_RETURN_DIRECT = _stmt(_EXPINT_STATEMENTS, "return_direct")
+
+_E_N_LT_0 = _site(_EXPINT_BRANCHES, "n<0")
+_E_X_LT_0 = _site(_EXPINT_BRANCHES, "x<0")
+_E_X_EQ_0 = _site(_EXPINT_BRANCHES, "x==0")
+_E_ARG_N_EQ_0 = _site(_EXPINT_BRANCHES, "arg_n==0")
+_E_ARG_N_EQ_1 = _site(_EXPINT_BRANCHES, "arg_n==1")
+_E_N_EQ_0 = _site(_EXPINT_BRANCHES, "n==0")
+_E_INNER_X_EQ_0 = _site(_EXPINT_BRANCHES, "inner_x==0")
+_E_X_GT_1 = _site(_EXPINT_BRANCHES, "x>1")
+_E_CF_CONV = _site(_EXPINT_BRANCHES, "cf_conv")
+_E_NM1_NE_0 = _site(_EXPINT_BRANCHES, "nm1!=0")
+_E_I_NE_NM1 = _site(_EXPINT_BRANCHES, "i!=nm1")
+_E_SERIES_CONV = _site(_EXPINT_BRANCHES, "series_conv")
 
 
 def _gammln(rec: Recorder, a: float) -> float:
-    rec.stmt("gammln_init")
+    rec.stmt(_G_GAMMLN_INIT)
     coefficients = (
         76.18009172947146,
         -86.50532032941677,
@@ -291,72 +374,72 @@ def _gammln(rec: Recorder, a: float) -> float:
     tmp -= (a + 0.5) * math.log(tmp)
     ser = 1.000000000190015
     for coefficient in coefficients:
-        rec.stmt("gammln_iter")
+        rec.stmt(_G_GAMMLN_ITER)
         y += 1.0
         ser += coefficient / y
     return -tmp + math.log(2.5066282746310005 * ser / a)
 
 
 def _gser(rec: Recorder, a: float, x: float) -> float:
-    rec.stmt("gser_init")
+    rec.stmt(_G_GSER_INIT)
     gln = _gammln(rec, a)
-    if rec.branch("gser_x<=0", x, 0.0):
-        rec.stmt("gser_zero")
+    if rec.le(_G_GSER_X_LE_0, x, 0.0):
+        rec.stmt(_G_GSER_ZERO)
         return 0.0
-    rec.stmt("gser_loop_init")
+    rec.stmt(_G_GSER_LOOP_INIT)
     ap = a
     total = 1.0 / a
     delta = total
     for _ in range(1, _MAXIT + 1):
-        rec.stmt("gser_iter")
+        rec.stmt(_G_GSER_ITER)
         ap += 1.0
         delta *= x / ap
         total += delta
-        if rec.branch("gser_conv", abs(delta), abs(total) * _EPS_GAMMA):
-            rec.stmt("gser_return")
+        if rec.lt(_G_GSER_CONV, abs(delta), abs(total) * _EPS_GAMMA):
+            rec.stmt(_G_GSER_RETURN)
             return total * math.exp(-x + a * math.log(x) - gln)
-    rec.stmt("raise_gser_fail")
+    rec.stmt(_G_RAISE_GSER_FAIL)
     raise SutFault("a too large for series")
 
 
 def _gcf(rec: Recorder, a: float, x: float) -> float:
-    rec.stmt("gcf_init")
+    rec.stmt(_G_GCF_INIT)
     gln = _gammln(rec, a)
     b = x + 1.0 - a
     c = 1.0 / _FPMIN
     d = 1.0 / b
     h = d
     for i in range(1, _MAXIT + 1):
-        rec.stmt("gcf_iter")
+        rec.stmt(_G_GCF_ITER)
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
-        if rec.branch("gcf_d_small", abs(d), _FPMIN):
-            rec.stmt("gcf_d_rescue")
+        if rec.lt(_G_GCF_D_SMALL, abs(d), _FPMIN):
+            rec.stmt(_G_GCF_D_RESCUE)
             d = _FPMIN
         c = b + an / c
-        if rec.branch("gcf_c_small", abs(c), _FPMIN):
-            rec.stmt("gcf_c_rescue")
+        if rec.lt(_G_GCF_C_SMALL, abs(c), _FPMIN):
+            rec.stmt(_G_GCF_C_RESCUE)
             c = _FPMIN
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if rec.branch("gcf_conv", abs(delta - 1.0), _EPS_GAMMA):
-            rec.stmt("gcf_return")
+        if rec.lt(_G_GCF_CONV, abs(delta - 1.0), _EPS_GAMMA):
+            rec.stmt(_G_GCF_RETURN)
             return math.exp(-x + a * math.log(x) - gln) * h
-    rec.stmt("raise_gcf_fail")
+    rec.stmt(_G_RAISE_GCF_FAIL)
     raise SutFault("a too large for continued fraction")
 
 
 def _gammq(rec: Recorder, a: float, x: float) -> float:
-    rec.stmt("entry")
-    if rec.branch("x<0", x, 0.0) or rec.branch("a<=0", a, 0.0):
-        rec.stmt("raise_bad_args")
+    rec.stmt(_G_ENTRY)
+    if rec.lt(_G_X_LT_0, x, 0.0) or rec.le(_G_A_LE_0, a, 0.0):
+        rec.stmt(_G_RAISE_BAD_ARGS)
         raise SutFault("invalid arguments")
-    if rec.branch("x<a+1", x, a + 1.0):
-        rec.stmt("use_series")
+    if rec.lt(_G_X_LT_A1, x, a + 1.0):
+        rec.stmt(_G_USE_SERIES)
         return 1.0 - _gser(rec, a, x)
-    rec.stmt("use_cf")
+    rec.stmt(_G_USE_CF)
     return _gcf(rec, a, x)
 
 
@@ -382,15 +465,43 @@ _GAMMQ_STATEMENTS = (
 )
 
 _GAMMQ_BRANCHES = (
-    BranchSite("x<0", "lt", KAPPA_REAL),
-    BranchSite("a<=0", "le", KAPPA_REAL),
-    BranchSite("x<a+1", "lt", KAPPA_REAL),
-    BranchSite("gser_x<=0", "le", KAPPA_REAL),
-    BranchSite("gser_conv", "lt", KAPPA_REAL),
-    BranchSite("gcf_d_small", "lt", KAPPA_REAL),
-    BranchSite("gcf_c_small", "lt", KAPPA_REAL),
-    BranchSite("gcf_conv", "lt", KAPPA_REAL),
+    BranchSite("x<0", KAPPA_REAL),
+    BranchSite("a<=0", KAPPA_REAL),
+    BranchSite("x<a+1", KAPPA_REAL),
+    BranchSite("gser_x<=0", KAPPA_REAL),
+    BranchSite("gser_conv", KAPPA_REAL),
+    BranchSite("gcf_d_small", KAPPA_REAL),
+    BranchSite("gcf_c_small", KAPPA_REAL),
+    BranchSite("gcf_conv", KAPPA_REAL),
 )
+
+_G_ENTRY = _stmt(_GAMMQ_STATEMENTS, "entry")
+_G_RAISE_BAD_ARGS = _stmt(_GAMMQ_STATEMENTS, "raise_bad_args")
+_G_USE_SERIES = _stmt(_GAMMQ_STATEMENTS, "use_series")
+_G_USE_CF = _stmt(_GAMMQ_STATEMENTS, "use_cf")
+_G_GSER_INIT = _stmt(_GAMMQ_STATEMENTS, "gser_init")
+_G_GSER_ZERO = _stmt(_GAMMQ_STATEMENTS, "gser_zero")
+_G_GSER_LOOP_INIT = _stmt(_GAMMQ_STATEMENTS, "gser_loop_init")
+_G_GSER_ITER = _stmt(_GAMMQ_STATEMENTS, "gser_iter")
+_G_GSER_RETURN = _stmt(_GAMMQ_STATEMENTS, "gser_return")
+_G_RAISE_GSER_FAIL = _stmt(_GAMMQ_STATEMENTS, "raise_gser_fail")
+_G_GCF_INIT = _stmt(_GAMMQ_STATEMENTS, "gcf_init")
+_G_GCF_ITER = _stmt(_GAMMQ_STATEMENTS, "gcf_iter")
+_G_GCF_D_RESCUE = _stmt(_GAMMQ_STATEMENTS, "gcf_d_rescue")
+_G_GCF_C_RESCUE = _stmt(_GAMMQ_STATEMENTS, "gcf_c_rescue")
+_G_GCF_RETURN = _stmt(_GAMMQ_STATEMENTS, "gcf_return")
+_G_RAISE_GCF_FAIL = _stmt(_GAMMQ_STATEMENTS, "raise_gcf_fail")
+_G_GAMMLN_INIT = _stmt(_GAMMQ_STATEMENTS, "gammln_init")
+_G_GAMMLN_ITER = _stmt(_GAMMQ_STATEMENTS, "gammln_iter")
+
+_G_X_LT_0 = _site(_GAMMQ_BRANCHES, "x<0")
+_G_A_LE_0 = _site(_GAMMQ_BRANCHES, "a<=0")
+_G_X_LT_A1 = _site(_GAMMQ_BRANCHES, "x<a+1")
+_G_GSER_X_LE_0 = _site(_GAMMQ_BRANCHES, "gser_x<=0")
+_G_GSER_CONV = _site(_GAMMQ_BRANCHES, "gser_conv")
+_G_GCF_D_SMALL = _site(_GAMMQ_BRANCHES, "gcf_d_small")
+_G_GCF_C_SMALL = _site(_GAMMQ_BRANCHES, "gcf_c_small")
+_G_GCF_CONV = _site(_GAMMQ_BRANCHES, "gcf_conv")
 
 
 @dataclass(frozen=True)
@@ -461,8 +572,7 @@ class SutProblem:
         d = _DEFINITIONS[name]
         self.name = name
         self._definition = d
-        self._stmt_index = {s: i for i, s in enumerate(d.statements)}
-        self._site_index = {b.name: j for j, b in enumerate(d.branches)}
+        self._kappa = tuple(site.kappa for site in d.branches for _side in (0, 1))
         self.statement_count = len(d.statements)
         self.branch_site_count = len(d.branches)
         self.target_count = self.statement_count + 2 * self.branch_site_count
@@ -484,7 +594,7 @@ class SutProblem:
 
     def execute(self, test: TestCase):
         """Run the subject, returning (recorder, result-or-None, fault-or-None)."""
-        rec = Recorder(self._stmt_index, self._site_index, self._definition.branches)
+        rec = Recorder(self.statement_count, self._kappa)
         try:
             value = self._definition.run(rec, *test.inputs)
             return rec, value, None
@@ -502,20 +612,17 @@ class SutProblem:
             if not spec.low <= v <= spec.high:
                 raise ValueError(f"input {v} outside [{spec.low}, {spec.high}]")
         rec, _, _ = self.execute(test)
-        nonzero = {}
-        for i, hit in enumerate(rec.stmt_hits):
-            if hit:
-                nonzero[i] = 1.0
-        base = self.statement_count
-        for j in range(self.branch_site_count):
-            taken = rec.taken[j]
-            last_d = rec.last_d[j]
-            for side in (0, 1):
-                k = base + 2 * j + side
-                if taken[side]:
-                    nonzero[k] = 1.0
-                elif last_d[side] is not None:
-                    nonzero[k] = 1.0 / (1.0 + last_d[side])
+        # Keys in ascending target id (statements, then each site's true and
+        # false outcome): Archive.save stamps and HeuristicVector.sum adds in
+        # this order.
+        nonzero = {i: 1.0 for i, hit in enumerate(rec.stmt_hits) if hit}
+        k = self.statement_count
+        for taken, d in zip(rec.taken, rec.dist):
+            if taken:
+                nonzero[k] = 1.0
+            elif d is not None:
+                nonzero[k] = 1.0 / (1.0 + d)
+            k += 1
         return HeuristicVector(self.target_count, nonzero)
 
     def manifest(self) -> dict:

@@ -81,6 +81,22 @@ class TestRunCommand:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_r_below_one_is_a_flag_error(self, source, tmp_path, capsys):
+        if source == "flag":
+            given = ("--r", "0")
+        else:
+            cfg = tmp_path / "plan.cfg"
+            cfg.write_text("r = 0\n")
+            given = ("--config", str(cfg))
+        code = run_cli(
+            "run", "--family", "gradient", "--z-list", "1", "--budget", "10",
+            "--reps", "1", *given, "--out-dir", str(tmp_path / "out"),
+        )
+        assert code == 2
+        assert "--r: must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestStatsCommand:
     def test_recomputes_identical_summary(self, tmp_path, capsys):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from suitesearch import harness
 from suitesearch.harness import (
     ExperimentPlan,
     RawRun,
@@ -109,6 +110,41 @@ class TestRunPlan:
             assert row.feasible_total == 10
             assert row.target_count == 13
             assert row.feasible_covered <= row.covered
+
+
+class TestCellFailures:
+    """A failing cell names itself instead of failing anonymously."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_run_names_cell_algorithm_and_seed(self, workers, monkeypatch):
+        real = harness.run_algorithm
+
+        def flaky(name, problem, budget, rng, plan):
+            if name == "wts" and len(problem.optima) == 3:
+                raise ZeroDivisionError("boom")
+            return real(name, problem, budget, rng, plan)
+
+        monkeypatch.setattr(harness, "run_algorithm", flaky)
+        plan = small_plan(algorithms=("mio", "wts"), repetitions=1)
+        seed = derive_seed(derive_seed(7, "gradient", 3, 1000, 0), "wts")
+        with pytest.raises(RuntimeError) as info:
+            run_plan(plan, workers=workers)
+        message = str(info.value)
+        for part in ("family=gradient", "param=3", "rep=0", "algorithm=wts",
+                     f"seed={seed}", "ZeroDivisionError('boom')"):
+            assert part in message
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_instance_names_cell(self, workers, monkeypatch):
+        def broken(family, param, rng, r):
+            raise ValueError("no instance")
+
+        monkeypatch.setattr(harness, "build_problem", broken)
+        with pytest.raises(RuntimeError) as info:
+            run_plan(small_plan(params=(4,), repetitions=2), workers=workers)
+        message = str(info.value)
+        assert "family=gradient param=4 rep=" in message
+        assert "ValueError('no instance')" in message
 
 
 class TestCsvEmission:

@@ -1,20 +1,33 @@
+import ast
+import hashlib
 import itertools
 import math
+import operator
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 from scipy import stats as sps
 
+from suitesearch.algorithms import mutate
 from suitesearch.core import TestCase
 from suitesearch.problems import (
     ArtificialProblem,
     SutFault,
     SutProblem,
-    branch_distances,
     rho,
 )
-from suitesearch.problems.suts import INVALID, SCALENE, ISOSCELES, EQUILATERAL, Recorder
+from suitesearch.problems import suts
+from suitesearch.problems.suts import (
+    EQUILATERAL,
+    INVALID,
+    ISOSCELES,
+    KAPPA_INT,
+    KAPPA_REAL,
+    SCALENE,
+    Recorder,
+)
 
 
 def make(kind, optima, **kw):
@@ -158,35 +171,149 @@ class TestRandomTestGeneration:
                         assert isinstance(v, int)
 
 
-COMPARISONS = ("eq", "ne", "lt", "le", "gt", "ge")
+COMPARISONS = {
+    "eq": operator.eq,
+    "ne": operator.ne,
+    "lt": operator.lt,
+    "le": operator.le,
+    "gt": operator.gt,
+}
 
 
-def _holds(op, a, b):
-    return {
-        "eq": a == b, "ne": a != b, "lt": a < b,
-        "le": a <= b, "gt": a > b, "ge": a >= b,
-    }[op]
+def _reference_distances(op, lhs, rhs, kappa):
+    """(outcome, d_true, d_false): the distance rules, written out once more."""
+    if op == "eq":
+        diff = lhs - rhs if lhs >= rhs else rhs - lhs
+        if diff == 0.0:
+            return True, 0.0, kappa
+        return False, diff, 0.0
+    if op == "ne":
+        diff = lhs - rhs if lhs >= rhs else rhs - lhs
+        if diff == 0.0:
+            return False, kappa, 0.0
+        return True, 0.0, diff
+    if op == "lt":
+        if lhs < rhs:
+            return True, 0.0, rhs - lhs
+        return False, lhs - rhs + kappa, 0.0
+    if op == "le":
+        if lhs <= rhs:
+            return True, 0.0, rhs - lhs + kappa
+        return False, lhs - rhs, 0.0
+    if op == "gt":
+        if lhs > rhs:
+            return True, 0.0, lhs - rhs
+        return False, rhs - lhs + kappa, 0.0
+    raise AssertionError(op)
+
+
+@st.composite
+def _operands(draw):
+    """Two integers or two finite reals, equal about half of the time."""
+    value = draw(st.sampled_from((
+        st.integers(-50, 50),
+        st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+    )))
+    lhs = draw(value)
+    return lhs, draw(st.one_of(st.just(lhs), value))
 
 
 class TestBranchDistances:
-    @given(st.sampled_from(COMPARISONS), st.integers(-50, 50), st.integers(-50, 50))
-    def test_zero_distance_iff_branch_taken(self, op, a, b):
-        outcome, d_true, d_false = branch_distances(op, a, b)
-        assert outcome == _holds(op, a, b)
-        assert d_true >= 0.0 and d_false >= 0.0
-        assert (d_true == 0.0) == outcome
-        assert (d_false == 0.0) == (not outcome)
+    @given(st.sampled_from(sorted(COMPARISONS)), _operands(), st.sampled_from((KAPPA_INT, KAPPA_REAL)))
+    def test_zero_distance_iff_branch_taken(self, op, operands, kappa):
+        lhs, rhs = operands
+        # Site 1 (slots 2 and 3) next to an untouched site 0.
+        rec = Recorder(0, (KAPPA_INT, KAPPA_INT, kappa, kappa))
+        outcome = getattr(rec, op)(2, lhs, rhs)
+        expected, d_true, d_false = _reference_distances(op, lhs, rhs, kappa)
+        assert outcome == COMPARISONS[op](lhs, rhs) == expected
+        assert rec.taken == [False, False, outcome, not outcome]
+        taken, other = (2, 3) if outcome else (3, 2)
+        assert rec.dist[:2] == [None, None] and rec.dist[taken] is None
+        assert rec.dist[other] == (d_false if outcome else d_true)
+        assert rec.dist[other] > 0.0
+        assert (d_true if outcome else d_false) == 0.0
 
     def test_equality_distance_is_operand_gap(self):
         # Predicate x == 5 evaluated with x = 3: distance 2, heuristic 1/3.
-        outcome, d_true, _ = branch_distances("eq", 3, 5)
-        assert not outcome
-        assert d_true == 2.0
-        assert rho(d_true) == pytest.approx(1 / 3)
+        rec = Recorder(0, (KAPPA_INT, KAPPA_INT))
+        assert not rec.eq(0, 3, 5)
+        assert rec.dist[0] == 2.0
+        assert rho(rec.dist[0]) == pytest.approx(1 / 3)
 
-    def test_unknown_comparison_rejected(self):
-        with pytest.raises(ValueError):
-            branch_distances("xor", 1, 2)
+    def test_latest_untaken_distance_kept(self):
+        rec = Recorder(0, (KAPPA_INT, KAPPA_INT))
+        rec.lt(0, 9, 1)
+        rec.lt(0, 4, 1)
+        assert rec.dist[0] == 4.0 and not rec.taken[0]
+        rec.lt(0, 0, 1)
+        assert rec.taken[0] and rec.dist[1] == 1
+
+
+def _probed_names(subject):
+    """Declared names each probe call of a subject's functions resolves to.
+
+    Scans suts.py: every ``rec.<probe>(SLOT, ...)`` in the subject's run
+    function and the functions it calls must name a module constant
+    assigned ``_stmt(<subject's statements>, name)`` (for ``stmt``) or
+    ``_site(<subject's branches>, name)`` (for a comparison). Returns the
+    (statement names, branch-site names) probed.
+    """
+    tree = ast.parse(Path(suts.__file__).read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    slots = {}
+    for node in tree.body:
+        if (
+            isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Name)
+            and node.value.func.id in ("_stmt", "_site")
+        ):
+            declared, name = node.value.args
+            slots[node.targets[0].id] = (node.value.func.id, declared.id, name.value)
+    definition = suts._DEFINITIONS[subject]
+    statements, sites = set(), set()
+    pending, seen = [definition.run.__name__], set()
+    while pending:
+        fn = pending.pop()
+        if fn in seen:
+            continue
+        seen.add(fn)
+        for call in ast.walk(functions[fn]):
+            if not isinstance(call, ast.Call):
+                continue
+            if isinstance(call.func, ast.Name) and call.func.id in functions:
+                pending.append(call.func.id)
+            func = call.func
+            if not (
+                isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "rec"
+            ):
+                continue
+            probe, slot = func.attr, call.args[0]
+            where = f"{fn} line {call.lineno}: rec.{probe}"
+            assert isinstance(slot, ast.Name) and slot.id in slots, f"{where}: undeclared slot"
+            kind, declared, name = slots[slot.id]
+            if probe == "stmt":
+                assert kind == "_stmt", f"{where}: {slot.id} is a branch slot"
+                assert getattr(suts, declared) is definition.statements, f"{where}: {declared}"
+                statements.add(name)
+            else:
+                assert probe in COMPARISONS, f"{where}: not a comparison"
+                assert kind == "_site", f"{where}: {slot.id} is a statement slot"
+                assert getattr(suts, declared) is definition.branches, f"{where}: {declared}"
+                sites.add(name)
+    return statements, sites
+
+
+class TestProbeSlots:
+    @pytest.mark.parametrize("subject", suts.SUT_NAMES)
+    def test_every_declared_target_probed_by_its_slot(self, subject):
+        definition = suts._DEFINITIONS[subject]
+        statements, sites = _probed_names(subject)
+        assert statements == set(definition.statements)
+        assert sites == {site.name for site in definition.branches}
 
 
 class TestTriangle:
@@ -227,6 +354,31 @@ class TestTriangle:
         assert self.p.target_count == 30
         assert int(self.p.manifest()["targets"]) == 30
         assert self.p.target_count == len(self.names)
+
+
+def _pinned_inputs(p):
+    """Seeded random tests, chains of mutated tests and the boundary inputs."""
+    rng = random.Random(1901)
+    tests = [p.random_test(rng) for _ in range(300)]
+    for _ in range(10):
+        t = p.random_test(rng)
+        for _ in range(30):
+            t = mutate(t, p, rng)
+            tests.append(t)
+    per_input = [
+        sorted(v for v in {-1, 0, 1, 50000, spec.low, spec.high} if spec.low <= v <= spec.high)
+        for spec in p.input_specs
+    ]
+    tests.extend(TestCase(0, inputs) for inputs in itertools.product(*per_input))
+    return tests
+
+
+# sha256 over repr(list(h.items())) of every test from _pinned_inputs.
+HEURISTIC_DIGESTS = {
+    "expint": "d693bd2a85fec31d26667ad0bcfc2b47908293272cacde708d23d1079722e1fe",
+    "gammq": "6afa2b2b25db298163b4da24b8b685e037a5561025cff3346281a9468a7481ee",
+    "triangle": "edcfd0fe752ced49f2dde5bbf2e8997f7c308f66bd77bd1a2daa36c605f5a13e",
+}
 
 
 class TestNumericalSubjects:
@@ -297,6 +449,16 @@ class TestNumericalSubjects:
     def test_unknown_subject_rejected(self):
         with pytest.raises(ValueError):
             SutProblem("ackermann")
+
+    @pytest.mark.parametrize("name", sorted(HEURISTIC_DIGESTS))
+    def test_heuristic_vectors_pinned(self, name):
+        # Every value and its key order: Archive.save walks h.items() in
+        # order and h.sum() adds in that order.
+        p = SutProblem(name)
+        sha = hashlib.sha256()
+        for t in _pinned_inputs(p):
+            sha.update(repr(list(p.evaluate(t).items())).encode())
+        assert sha.hexdigest() == HEURISTIC_DIGESTS[name]
 
     def test_heuristics_stay_in_unit_interval(self):
         rng = random.Random(9)

@@ -180,8 +180,11 @@ def run_mosa(problem, budget: Budget, rng) -> SearchResult:
     archive = Archive(z)
     trace: list = []
 
-    population: list = []  # (test, dense heuristic row) pairs
-    while len(population) < POPULATION_SIZE:
+    # rows[i] is the dense heuristic row of tests[i]: the population fills
+    # rows [0, P) and its offspring rows [P, 2P).
+    tests: list = []
+    rows = np.empty((2 * POPULATION_SIZE, z), dtype=np.float32)
+    while len(tests) < POPULATION_SIZE:
         if not budget.has_remaining() or archive.covered_count >= z:
             return _finish(archive, trace, budget)
         test = problem.random_test(rng)
@@ -189,24 +192,20 @@ def run_mosa(problem, budget: Budget, rng) -> SearchResult:
         h = problem.evaluate(test)
         archive.save(test, h, FIXED_ARCHIVE_CAPACITY)
         trace.append(archive.covered_count)
-        population.append((test, h.dense()))
+        rows[len(tests)] = h.dense()
+        tests.append(test)
 
-    ranks = _mosa_sort(population, _uncovered_ids(archive, z))[1]
+    ranks = _mosa_ranks(rows[:POPULATION_SIZE], _uncovered_ids(archive, z))
 
     while budget.has_remaining() and archive.covered_count < z:
-        offspring: list = []
-        while len(offspring) < POPULATION_SIZE:
+        rank_of = ranks.__getitem__
+        while len(tests) < 2 * POPULATION_SIZE:
             if not budget.has_remaining() or archive.covered_count >= z:
                 break
-            rank_key = lambda i: ranks[i]
-            first = population[
-                _tournament_min(rng, len(population), TOURNAMENT_SIZE, rank_key)
-            ][0]
-            second = population[
-                _tournament_min(rng, len(population), TOURNAMENT_SIZE, rank_key)
-            ][0]
+            first = tests[_tournament_min(rng, POPULATION_SIZE, TOURNAMENT_SIZE, rank_of)]
+            second = tests[_tournament_min(rng, POPULATION_SIZE, TOURNAMENT_SIZE, rank_of)]
             for child in (first, second):
-                if len(offspring) >= POPULATION_SIZE:
+                if len(tests) >= 2 * POPULATION_SIZE:
                     break
                 if not budget.has_remaining() or archive.covered_count >= z:
                     break
@@ -215,13 +214,13 @@ def run_mosa(problem, budget: Budget, rng) -> SearchResult:
                 h = problem.evaluate(child)
                 archive.save(child, h, FIXED_ARCHIVE_CAPACITY)
                 trace.append(archive.covered_count)
-                offspring.append((child, h.dense()))
-        combined = population + offspring
-        uncovered = _uncovered_ids(archive, z)
-        order, ranks_all = _mosa_sort(combined, uncovered)
-        keep = order[:POPULATION_SIZE]
-        population = [combined[i] for i in keep]
-        ranks = [ranks_all[i] for i in keep]
+                rows[len(tests)] = h.dense()
+                tests.append(child)
+        if not budget.has_remaining() or archive.covered_count >= z:
+            break  # the run is over, so nothing would read a last ranking
+        keep, ranks = _mosa_sort(rows, _uncovered_ids(archive, z), POPULATION_SIZE)
+        tests = [tests[i] for i in keep]
+        rows[:POPULATION_SIZE] = rows[keep]
     return _finish(archive, trace, budget)
 
 
@@ -241,50 +240,90 @@ def _tournament_min(rng, pool_size: int, k: int, key) -> int:
     return best
 
 
-def _mosa_sort(population, uncovered):
-    """Preference-then-Pareto ranking of (test, dense row) pairs.
-
-    Front 0 holds, per uncovered target, every individual attaining the
-    population-wide best non-zero heuristic for it, ties included. The
-    remainder is ranked by non-dominated sorting over the uncovered
-    objectives; crowding distance breaks ties within a front, and equal
-    distances keep population order. Rows are float32 (see
-    :meth:`HeuristicVector.dense`). Returns (selection order, rank per
-    individual).
-    """
-    p = len(population)
-    matrix = np.stack([row for _, row in population])[:, uncovered]
-    # Drop objectives nobody reaches; they cannot order anything. Each one
-    # left has a positive best value, so every column has a preferred row.
-    matrix = matrix[:, matrix.any(axis=0)]
+def _mosa_ranks(rows: np.ndarray, uncovered) -> list:
+    """Rank of every row, as :func:`_mosa_sort` ranks them, but with no
+    truncation, crowding or order: the initial population's tournaments
+    read the ranks alone."""
+    matrix = _objectives(rows, uncovered)
     if not matrix.shape[1]:
-        return list(range(p)), [0] * p
-    rank = np.zeros(p, dtype=np.intp)
-    rest = np.flatnonzero(~(matrix == matrix.max(axis=0)).any(axis=1))
-    if len(rest):
-        # Fast non-dominated sort (maximization) of the rest, fronts from 1.
-        sub = matrix[rest]
-        ge = (sub[:, None, :] >= sub[None, :, :]).all(axis=2)
-        dominates = ge & ~ge.T
-        dominated_count = dominates.sum(axis=0)
-        remaining = np.ones(len(rest), dtype=bool)
-        front = 1
-        while remaining.any():
-            current = remaining & (dominated_count == 0)
-            rank[rest[current]] = front
-            remaining &= ~current
-            dominated_count -= dominates[current].sum(axis=0)
-            front += 1
-    return np.lexsort((-_crowding(matrix, rank), rank)).tolist(), rank.tolist()
+        return [0] * len(rows)
+    return _fronts(matrix, len(matrix)).tolist()
+
+
+def _mosa_sort(rows: np.ndarray, uncovered, keep: int):
+    """Preference-then-Pareto selection of ``keep`` of the float32 ``rows``
+    (see :meth:`HeuristicVector.dense`).
+
+    Front 0 holds, per uncovered target, every row attaining the best
+    non-zero heuristic for it over all rows, ties included. The remainder
+    is ranked by non-dominated sorting over the uncovered objectives, and
+    peeling stops once ``keep`` rows are ranked. Within each front up to the
+    one that straddles position ``keep``, crowding distance decides, and
+    equal distances keep row order. Returns (the kept row indices in
+    selection order, their ranks): the first ``keep`` entries of the full
+    ranking's order, since no front after the straddling one reaches them.
+    """
+    matrix = _objectives(rows, uncovered)
+    if not matrix.shape[1]:
+        return list(range(keep)), [0] * keep
+    rank = _fronts(matrix, keep)
+    ranked = np.flatnonzero(rank < len(matrix))
+    front = rank[ranked]
+    order = np.lexsort((-_crowding(matrix[ranked], front), front))
+    kept = ranked[order[:keep]]
+    return kept.tolist(), rank[kept].tolist()
+
+
+def _objectives(rows: np.ndarray, uncovered) -> np.ndarray:
+    """The uncovered objectives that some row reaches; the others cannot
+    order anything. Each column kept has a positive best value, so it has a
+    preferred row."""
+    matrix = rows[:, uncovered]
+    return matrix[:, matrix.any(axis=0)]
+
+
+def _fronts(matrix: np.ndarray, stop: int) -> np.ndarray:
+    """Front of each row of ``matrix``, peeled until ``stop`` rows are ranked
+    (``stop`` is at most ``len(matrix)``).
+
+    Front 0 is the preference front. The rest are non-dominated fronts
+    (maximization) numbered from 1. Rows left unranked get ``len(matrix)``,
+    which sorts after every front.
+    """
+    p = len(matrix)
+    preferred = (matrix == matrix.max(axis=0)).any(axis=1)
+    rank = np.where(preferred, 0, p)
+    ranked = int(np.count_nonzero(preferred))
+    if ranked >= stop:
+        return rank
+    rest = np.flatnonzero(~preferred)
+    sub = matrix[rest]
+    # A column constant over the rest leaves every >= between them true.
+    sub = sub[:, (sub != sub[0]).any(axis=0)]
+    ge = (sub[:, None, :] >= sub[None, :, :]).all(axis=2)
+    dominates = ge & ~ge.T
+    dominated_count = dominates.sum(axis=0)
+    remaining = np.ones(len(rest), dtype=bool)
+    front = 1
+    while ranked < stop:
+        current = remaining & (dominated_count == 0)
+        rank[rest[current]] = front
+        ranked += int(np.count_nonzero(current))
+        remaining &= ~current
+        dominated_count -= dominates[current].sum(axis=0)
+        front += 1
+    return rank
 
 
 def _crowding(matrix: np.ndarray, rank: np.ndarray) -> np.ndarray:
-    """Crowding distance of every individual within its front.
+    """Crowding distance of every row of ``matrix`` within its front.
 
-    Per objective, a front's lowest and highest members (population order
-    breaking ties) are infinitely far; an interior member gets the gap
-    between its neighbours over the front's range, or nothing when the
-    range is empty. Members of fronts of one or two are infinitely far.
+    ``rank`` gives each row's front; MOSA passes the rows of the fronts it
+    keeps, up to the straddling one, and a front's distances depend on its
+    own members only. Per objective, a front's lowest and highest members
+    (row order breaking ties) are infinitely far; an interior member gets
+    the gap between its neighbours over the front's range, or nothing when
+    the range is empty. Members of fronts of one or two are infinitely far.
     Gaps sum over objectives left to right.
     """
     vals = matrix.astype(np.float64)

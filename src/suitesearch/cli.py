@@ -45,9 +45,17 @@ def _parse_int_list(text: str, flag: str) -> tuple:
             values.append(int(piece))
         except ValueError:
             raise CliError(f"{flag}: {piece!r} is not an integer") from None
+    return _distinct(tuple(values), flag)
+
+
+def _distinct(values: tuple, flag: str) -> tuple:
+    """``values``, unless the list is empty or repeats a value."""
     if not values:
         raise CliError(f"{flag}: empty list")
-    return tuple(values)
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise CliError(f"{flag}: {value!r} given twice")
+    return values
 
 
 def _check_reps_workers(reps: int, workers: int):
@@ -88,7 +96,9 @@ def _build_run_plan(args) -> tuple:
         if bad:
             raise CliError(f"--z-list: value {bad[0]} must be >= {low} for {family}")
     algorithms = pick(args.algorithms, "algorithms", "mio,mosa,wts,random")
-    algorithms = tuple(a.strip() for a in str(algorithms).split(",") if a.strip())
+    algorithms = _distinct(
+        tuple(a.strip() for a in str(algorithms).split(",") if a.strip()), "--algorithms"
+    )
     for a in algorithms:
         if a not in ALGORITHMS:
             raise CliError(f"--algorithms: unknown algorithm {a!r}; pick from {ALGORITHMS}")

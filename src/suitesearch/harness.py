@@ -86,6 +86,8 @@ class ExperimentPlan:
                 raise ValueError(f"unknown algorithm {name!r}; pick from {ALGORITHMS}")
         if len(set(self.algorithms)) != len(self.algorithms):
             raise ValueError("duplicate algorithm in plan")
+        if len(set(self.params)) != len(self.params):
+            raise ValueError("duplicate parameter in plan")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if self.budget < 0:

@@ -9,6 +9,8 @@ from suitesearch import algorithms
 from suitesearch.algorithms import (
     MioConfig,
     _crowding,
+    _fronts,
+    _mosa_ranks,
     _mosa_sort,
     mutate,
     run_mio,
@@ -261,11 +263,8 @@ def _reference_crowding(rows, front, dist):
 
 
 class TestMosaRanking:
-    def _pop(self, rows, z):
-        return [
-            (TestCase(i, (i,)), HeuristicVector.from_dense(row).dense())
-            for i, row in enumerate(rows)
-        ]
+    def _rows(self, rows):
+        return np.stack([HeuristicVector.from_dense(row).dense() for row in rows])
 
     def test_preference_front_holds_best_per_uncovered_target(self):
         rows = [
@@ -274,8 +273,7 @@ class TestMosaRanking:
             [0.9, 0.1, 0.0],
             [0.1, 0.1, 0.3],
         ]
-        population = self._pop(rows, 3)
-        order, ranks = _mosa_sort(population, [0, 1, 2])
+        ranks = _mosa_ranks(self._rows(rows), [0, 1, 2])
         for target in range(3):
             best = max(r[target] for r in rows)
             assert any(
@@ -284,39 +282,54 @@ class TestMosaRanking:
 
     def test_preference_includes_ties(self):
         rows = [[0.5], [0.5], [0.2]]
-        _, ranks = _mosa_sort(self._pop(rows, 1), [0])
+        ranks = _mosa_ranks(self._rows(rows), [0])
         assert ranks[0] == 0 and ranks[1] == 0
         assert ranks[2] > 0
 
     def test_dominated_zero_rows_rank_last(self):
-        rows = [[0.4, 0.4], [0.0, 0.0]]
-        order, ranks = _mosa_sort(self._pop(rows, 2), [0, 1])
-        assert ranks[1] > ranks[0]
-        assert order[0] == 0
+        rows = self._rows([[0.4, 0.4], [0.0, 0.0]])
+        assert _mosa_ranks(rows, [0, 1]) == [0, 1]
+        assert _mosa_sort(rows, [0, 1], 2) == ([0, 1], [0, 1])
+        assert _mosa_sort(rows, [0, 1], 1) == ([0], [0])
 
     def test_no_uncovered_targets_degenerates(self):
-        order, ranks = _mosa_sort(self._pop([[0.1], [0.9]], 1), [])
-        assert order == [0, 1]
-        assert ranks == [0, 0]
+        rows = self._rows([[0.1], [0.9]])
+        assert _mosa_ranks(rows, []) == [0, 0]
+        assert _mosa_sort(rows, [], 2) == ([0, 1], [0, 0])
+        assert _mosa_sort(rows, [], 1) == ([0], [0])
+
+    def test_peeling_stops_once_enough_rows_ranked(self):
+        # One objective: every row is its own front. Asked for three rows,
+        # the peeling ranks fronts 0-2 and leaves the rest at len(matrix).
+        matrix = self._rows([[0.9], [0.1], [0.5], [0.7], [0.3]])
+        assert _fronts(matrix, 3).tolist() == [0, 5, 2, 1, 5]
+        assert _fronts(matrix, 5).tolist() == [0, 4, 2, 1, 3]
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_matches_front_by_front_reference(self, data):
         # Up to 12 objectives, so a sum over them that is not left to right
-        # rounds differently.
+        # rounds differently. Up to 40 rows and a drawn keep count, so the
+        # peeling often stops with fronts left unranked.
         z = data.draw(st.integers(1, 12))
         value = st.one_of(
             st.sampled_from([0.0, 0.0, 0.25, 0.5]), st.floats(0.0, 0.875, width=32)
         )
         row = st.lists(value, min_size=z, max_size=z)
-        rows = data.draw(st.lists(row, min_size=1, max_size=16))
+        rows = data.draw(st.lists(row, min_size=1, max_size=40))
+        keep = data.draw(st.integers(1, len(rows)))
         uncovered = sorted(data.draw(st.sets(st.integers(0, z - 1))))
-        order, ranks = _mosa_sort(self._pop(rows, z), uncovered)
-        expected = _reference_mosa_sort([[row[k] for k in uncovered] for row in rows])
-        assert (order, ranks) == expected[:2]
-        if expected[2]:
-            matrix = np.array(expected[2], dtype=np.float32)
-            assert _crowding(matrix, np.array(ranks)).tolist() == expected[3]
+        matrix = self._rows(rows)
+        order, ranks, objectives, dist = _reference_mosa_sort(
+            [[row[k] for k in uncovered] for row in rows]
+        )
+        kept, kept_ranks = _mosa_sort(matrix, uncovered, keep)
+        assert kept == order[:keep]
+        assert kept_ranks == [ranks[i] for i in kept]
+        assert _mosa_ranks(matrix, uncovered) == ranks
+        if objectives:
+            matrix = np.array(objectives, dtype=np.float32)
+            assert _crowding(matrix, np.array(ranks)).tolist() == dist
 
     def test_crowding_sums_many_objectives_left_to_right(self):
         # Rows 0 and 1 bound every objective, so the others are interior in
@@ -331,24 +344,43 @@ class TestMosaRanking:
 
     def test_preference_invariant_holds_during_search(self, monkeypatch):
         # Checks every ranking of the live populations of a real run: rank 0
-        # is exactly the rows attaining some reachable uncovered target's best.
+        # is exactly the rows attaining some reachable uncovered target's
+        # best, and selection keeps as many of them as fit, first.
         ranked = []
 
-        def checked_sort(population, uncovered):
-            order, ranks = _mosa_sort(population, uncovered)
+        def preferred_rows(rows, uncovered):
             preferred = set()
             for k in uncovered:
-                column = [float(row[k]) for _, row in population]
+                column = [float(v) for v in rows[:, k]]
                 best = max(column)
                 if best > 0.0:
                     preferred.update(i for i, v in enumerate(column) if v == best)
+            return preferred
+
+        def checked_ranks(rows, uncovered):
+            ranks = _mosa_ranks(rows, uncovered)
+            preferred = preferred_rows(rows, uncovered)
             if preferred:
                 assert {i for i, r in enumerate(ranks) if r == 0} == preferred
             else:
-                assert ranks == [0] * len(population)
-            ranked.append(len(preferred) < len(population))
-            return order, ranks
+                assert ranks == [0] * len(rows)
+            ranked.append(len(preferred) < len(rows))
+            return ranks
 
+        def checked_sort(rows, uncovered, keep):
+            kept, ranks = _mosa_sort(rows, uncovered, keep)
+            preferred = preferred_rows(rows, uncovered)
+            if preferred:
+                front = min(len(preferred), keep)
+                assert set(kept[:front]) <= preferred
+                assert ranks[:front] == [0] * front
+                assert all(r > 0 for r in ranks[front:])
+            else:
+                assert (kept, ranks) == (list(range(keep)), [0] * keep)
+            ranked.append(len(preferred) < len(rows))
+            return kept, ranks
+
+        monkeypatch.setattr(algorithms, "_mosa_ranks", checked_ranks)
         monkeypatch.setattr(algorithms, "_mosa_sort", checked_sort)
         problem = small_problem(17, z=10)
         result = run_mosa(problem, Budget(500), random.Random(11))

@@ -49,6 +49,34 @@ class TestRunCommand:
         assert run_cli("run", "--family", "gradient", "--algorithms", "mio,abc") == 2
         assert "--algorithms" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "given, message",
+        [
+            (("--algorithms", ""), "--algorithms: empty list"),
+            (("--algorithms", " , "), "--algorithms: empty list"),
+            (("--algorithms", "mio,random,mio"), "--algorithms: 'mio' given twice"),
+            (("--z-list", "5,5"), "--z-list: 5 given twice"),
+            (("--z-list", "5,05"), "--z-list: 5 given twice"),
+        ],
+        ids=["empty", "blank", "repeated", "z-repeated", "z-same-int"],
+    )
+    def test_empty_or_repeated_list_is_a_flag_error(
+        self, given, message, source, tmp_path, capsys
+    ):
+        if source == "config":
+            cfg = tmp_path / "plan.cfg"
+            key = given[0].lstrip("-").replace("-", "_")
+            cfg.write_text(f"{key} = {given[1]}\n")
+            given = ("--config", str(cfg))
+        code = run_cli(
+            "run", "--family", "gradient", "--budget", "10", "--reps", "2",
+            *given, "--out-dir", str(tmp_path / "out"),
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_family_is_reported(self, capsys):
         assert run_cli("run") == 2
         assert "--family" in capsys.readouterr().err

@@ -97,6 +97,7 @@ class TestRunPlan:
             dict(repetitions=0),
             dict(budget=-1),
             dict(r=0),
+            dict(params=(3, 3)),
         ],
     )
     def test_invalid_plan_rejected_at_construction(self, bad):

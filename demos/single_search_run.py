@@ -15,10 +15,14 @@ result = run_mio(problem, MioConfig(), budget, random.Random(99))
 print(f"plateau instance with z={problem.target_count}, budget {budget.max_evaluations}")
 print(f"covered {result.covered_count} targets in {result.evaluations} evaluations")
 print()
-print("coverage over time (evaluations -> covered targets):")
+# MIO's schedule is a function of the fraction of the budget spent, so a run
+# with a smaller budget reaches its focused phase sooner: coverage after 200
+# evaluations of a 1000-evaluation run is not what a 200-evaluation run
+# covers. Hence one seeded run per budget.
+print("coverage by budget (budget -> covered targets):")
 for at in (50, 100, 200, 400, 600, 800, 1000):
-    if at <= len(result.covered_trace):
-        print(f"  {at:>5}: {result.covered_trace[at - 1]}")
+    run = run_mio(problem, MioConfig(), Budget(at), random.Random(99))
+    print(f"  {at:>5}: {run.covered_count}")
 print()
 print("extracted suite (one best test per covered target, deduplicated):")
 for test in result.suite:

@@ -67,7 +67,6 @@ class SearchResult:
     """Outcome of one run: the extracted suite and coverage bookkeeping."""
 
     suite: list = field(default_factory=list)
-    covered_trace: list = field(default_factory=list)
     covered_count: int = 0
     covered_targets: tuple = ()
     coverage_sum: float = 0.0
@@ -94,10 +93,9 @@ def mutate(test: TestCase, problem, rng) -> TestCase:
     return TestCase(test.id, tuple(new_inputs), test.size)
 
 
-def _finish(archive: Archive, trace: list, budget: Budget) -> SearchResult:
+def _finish(archive: Archive, budget: Budget) -> SearchResult:
     return SearchResult(
         suite=archive.extract_suite(),
-        covered_trace=trace,
         covered_count=archive.covered_count,
         covered_targets=tuple(sorted(archive.covered_targets())),
         coverage_sum=archive.coverage_sum(),
@@ -114,14 +112,13 @@ def run_mio(problem, config: MioConfig, budget: Budget, rng) -> SearchResult:
     schedule = config.schedule
     z = problem.target_count
     archive = Archive(z)
-    trace: list = []
     last_n = schedule.n_start
 
     while budget.has_remaining() and archive.covered_count < z:
         t = budget.elapsed_fraction()
         if archive.is_empty() or rng.random() < schedule.pr(t):
             test = problem.random_test(rng)
-            last_n = _mio_evaluate(problem, test, archive, budget, schedule, last_n, trace)[1]
+            last_n = _mio_evaluate(problem, test, archive, budget, schedule, last_n)[1]
         else:
             # Up to m successive mutate-evaluate-save steps from the sampled
             # parent, hill-climbing total heuristic mass: a mutant no worse
@@ -132,24 +129,21 @@ def run_mio(problem, config: MioConfig, budget: Budget, rng) -> SearchResult:
                 if not budget.has_remaining() or archive.covered_count >= z:
                     break
                 mutant = mutate(current, problem, rng)
-                h, last_n = _mio_evaluate(
-                    problem, mutant, archive, budget, schedule, last_n, trace
-                )
+                h, last_n = _mio_evaluate(problem, mutant, archive, budget, schedule, last_n)
                 mutant_sum = h.sum()
                 if mutant_sum >= current_sum:
                     current = mutant
                     current_sum = mutant_sum
-    return _finish(archive, trace, budget)
+    return _finish(archive, budget)
 
 
-def _mio_evaluate(problem, test, archive, budget, schedule, last_n, trace):
+def _mio_evaluate(problem, test, archive, budget, schedule, last_n):
     budget.consume()
     h = problem.evaluate(test)
     n_now = schedule.n(budget.elapsed_fraction())
     archive.save(test, h, n_now)
     if n_now != last_n:
         archive.shrink_to(n_now)
-    trace.append(archive.covered_count)
     return h, n_now
 
 
@@ -161,13 +155,11 @@ def _mio_evaluate(problem, test, archive, budget, schedule, last_n, trace):
 def run_random(problem, budget: Budget, rng) -> SearchResult:
     z = problem.target_count
     archive = Archive(z)
-    trace: list = []
     while budget.has_remaining() and archive.covered_count < z:
         test = problem.random_test(rng)
         budget.consume()
         archive.save(test, problem.evaluate(test), FIXED_ARCHIVE_CAPACITY)
-        trace.append(archive.covered_count)
-    return _finish(archive, trace, budget)
+    return _finish(archive, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +170,6 @@ def run_random(problem, budget: Budget, rng) -> SearchResult:
 def run_mosa(problem, budget: Budget, rng) -> SearchResult:
     z = problem.target_count
     archive = Archive(z)
-    trace: list = []
 
     # rows[i] is the dense heuristic row of tests[i]: the population fills
     # rows [0, P) and its offspring rows [P, 2P).
@@ -186,12 +177,11 @@ def run_mosa(problem, budget: Budget, rng) -> SearchResult:
     rows = np.empty((2 * POPULATION_SIZE, z), dtype=np.float32)
     while len(tests) < POPULATION_SIZE:
         if not budget.has_remaining() or archive.covered_count >= z:
-            return _finish(archive, trace, budget)
+            return _finish(archive, budget)
         test = problem.random_test(rng)
         budget.consume()
         h = problem.evaluate(test)
         archive.save(test, h, FIXED_ARCHIVE_CAPACITY)
-        trace.append(archive.covered_count)
         rows[len(tests)] = h.dense()
         tests.append(test)
 
@@ -213,7 +203,6 @@ def run_mosa(problem, budget: Budget, rng) -> SearchResult:
                 budget.consume()
                 h = problem.evaluate(child)
                 archive.save(child, h, FIXED_ARCHIVE_CAPACITY)
-                trace.append(archive.covered_count)
                 rows[len(tests)] = h.dense()
                 tests.append(child)
         if not budget.has_remaining() or archive.covered_count >= z:
@@ -221,7 +210,7 @@ def run_mosa(problem, budget: Budget, rng) -> SearchResult:
         keep, ranks = _mosa_sort(rows, _uncovered_ids(archive, z), POPULATION_SIZE)
         tests = [tests[i] for i in keep]
         rows[:POPULATION_SIZE] = rows[keep]
-    return _finish(archive, trace, budget)
+    return _finish(archive, budget)
 
 
 def _uncovered_ids(archive: Archive, z: int) -> list:
@@ -365,7 +354,6 @@ def run_wts(problem, budget: Budget, rng) -> SearchResult:
     """
     z = problem.target_count
     archive = Archive(z)
-    trace: list = []
     dense: dict = {}  # test -> dense heuristic row, filled once per executed test
 
     def execute_missing(suite: list) -> bool:
@@ -380,7 +368,6 @@ def run_wts(problem, budget: Budget, rng) -> SearchResult:
                 budget.consume()
                 h = problem.evaluate(test)
                 archive.save(test, h, FIXED_ARCHIVE_CAPACITY)
-                trace.append(archive.covered_count)
                 row = dense[test] = h.dense()
             suite[i] = (test, row)
         return True
@@ -394,13 +381,13 @@ def run_wts(problem, budget: Budget, rng) -> SearchResult:
     population: list = []
     while len(population) < POPULATION_SIZE:
         if not budget.has_remaining() or archive.covered_count >= z:
-            return _finish(archive, trace, budget)
+            return _finish(archive, budget)
         suite = [
             (problem.random_test(rng), None)
             for _ in range(rng.randint(1, WTS_MAX_SUITE_SIZE))
         ]
         if not execute_missing(suite):
-            return _finish(archive, trace, budget)
+            return _finish(archive, budget)
         population.append(suite)
 
     fits = [fitness(s) for s in population]
@@ -439,7 +426,7 @@ def run_wts(problem, budget: Budget, rng) -> SearchResult:
         keep = order[:POPULATION_SIZE]
         population = [pool[i] for i in keep]
         fits = [pool_fits[i] for i in keep]
-    return _finish(archive, trace, budget)
+    return _finish(archive, budget)
 
 
 def _suite_crossover(p1: list, p2: list, rng):

@@ -31,6 +31,12 @@ from .harness import (
 from .problems import ARTIFICIAL_KINDS, INFEASIBLE, SUT_NAMES
 
 
+# The keys a ``run --config`` file may set, one per ``run`` flag.
+CONFIG_KEYS = (
+    "family", "z_list", "budget", "reps", "seed", "r", "algorithms", "out_dir", "workers",
+)
+
+
 class CliError(Exception):
     """A user-facing problem with flags or config values."""
 
@@ -70,6 +76,12 @@ def _build_run_plan(args) -> tuple:
     options = {}
     if args.config:
         options = read_config(args.config)
+        for key in options:
+            if key not in CONFIG_KEYS:
+                raise CliError(
+                    f"{args.config}: unknown key {key!r}; pick from {', '.join(CONFIG_KEYS)}"
+                )
+
     def pick(flag_value, key, default=None):
         if flag_value is not None:
             return flag_value
@@ -132,8 +144,6 @@ def _cmd_run(args) -> int:
     plan, out_dir, workers = _build_run_plan(args)
     result = run_plan(plan, workers=workers)
     paths = emit_csv(result, out_dir)
-    for param, reason in result.skipped:
-        print(f"skipped cell {param}: {reason}", file=sys.stderr)
     print(f"{len(result.rows)} runs -> {paths['raw']} and {paths['summary']}")
     return 0
 

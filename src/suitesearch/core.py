@@ -75,25 +75,6 @@ class HeuristicVector:
         self.length = length
         self.nonzero = nonzero
 
-    @classmethod
-    def single(cls, length: int, index: int, value: float) -> "HeuristicVector":
-        """Vector that is zero everywhere except one target."""
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"heuristic value out of [0, 1]: {value}")
-        if not 0 <= index < length:
-            raise ValueError(f"target index {index} out of range for {length} targets")
-        return cls(length, {index: value} if value > 0.0 else {})
-
-    @classmethod
-    def from_dense(cls, values) -> "HeuristicVector":
-        nonzero = {}
-        for k, v in enumerate(values):
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"heuristic value out of [0, 1] at target {k}: {v}")
-            if v > 0.0:
-                nonzero[k] = v
-        return cls(len(values), nonzero)
-
     def __len__(self):
         return self.length
 

@@ -63,8 +63,8 @@ SUMMARY_COLUMNS = (
 class ExperimentPlan:
     """A family of instances crossed with algorithms, seeds and a budget.
 
-    Its values are checked when it is built; cell parameters are checked
-    per cell by :meth:`cell_is_valid`.
+    Every value is checked when the plan is built, each instance parameter
+    by :meth:`cell_is_valid`, so a plan that exists can run every cell.
     """
 
     family: str
@@ -86,8 +86,14 @@ class ExperimentPlan:
                 raise ValueError(f"unknown algorithm {name!r}; pick from {ALGORITHMS}")
         if len(set(self.algorithms)) != len(self.algorithms):
             raise ValueError("duplicate algorithm in plan")
+        if not self.params:
+            raise ValueError("plan needs at least one parameter")
         if len(set(self.params)) != len(self.params):
             raise ValueError("duplicate parameter in plan")
+        for param in self.params:
+            reason = self.cell_is_valid(param)
+            if reason is not None:
+                raise ValueError(reason)
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if self.budget < 0:
@@ -96,7 +102,9 @@ class ExperimentPlan:
             raise ValueError("r must be >= 1")
 
     def cell_is_valid(self, param) -> str | None:
-        """Reason the cell is invalid, or None when runnable."""
+        """Reason ``param`` cannot be an instance of the plan's family, or
+        None when it can. Subjects take any parameter; landscapes need an
+        integer target count >= 1, or an infeasible count >= 0."""
         if self.family in SUT_NAMES:
             return None
         if not isinstance(param, int):
@@ -134,7 +142,6 @@ RAW_COLUMNS = ("schema_version",) + _RAW_FIELDS
 class ExperimentResult:
     plan: ExperimentPlan
     rows: list
-    skipped: list
     instance_notes: list = field(default_factory=list)
 
     def rows_for(self, param, algorithm) -> list:
@@ -230,21 +237,12 @@ def _run_cell(args):
 
 
 def run_plan(plan: ExperimentPlan, workers: int = 1) -> ExperimentResult:
-    """Execute every valid cell of the plan, optionally in parallel.
+    """Execute every cell of the plan, optionally in parallel.
 
-    Invalid cells are reported in ``result.skipped``, never silently
-    dropped. The outcome is bit-identical for any worker count.
+    The plan checked its parameters when it was built, so every cell runs.
+    The outcome is bit-identical for any worker count.
     """
-    skipped = []
-    work = []
-    for param in plan.params:
-        reason = plan.cell_is_valid(param)
-        if reason is not None:
-            skipped.append((param, reason))
-            continue
-        for rep in range(plan.repetitions):
-            work.append((plan, param, rep))
-    outputs = []
+    work = [(plan, param, rep) for param in plan.params for rep in range(plan.repetitions)]
     if workers > 1 and len(work) > 1:
         with get_context("fork").Pool(workers) as pool:
             outputs = pool.map(_run_cell, work, chunksize=max(1, len(work) // (workers * 8)))
@@ -257,7 +255,7 @@ def run_plan(plan: ExperimentPlan, workers: int = 1) -> ExperimentResult:
     for _, _, cell_rows, note in outputs:
         rows.extend(cell_rows)
         notes.append(note)
-    return ExperimentResult(plan=plan, rows=rows, skipped=skipped, instance_notes=notes)
+    return ExperimentResult(plan=plan, rows=rows, instance_notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +343,6 @@ def emit_csv(result: ExperimentResult, out_dir) -> dict:
                 fh.write(f"sut_{key} = {value}\n")
             for i, name in enumerate(problem.target_names()):
                 fh.write(f"target_{i} = {name}\n")
-        for param, reason in result.skipped:
-            fh.write(f"skipped = {param}: {reason}\n")
         for note in result.instance_notes:
             fh.write(f"instance = {note}\n")
     return {"raw": raw_path, "summary": summary_path, "manifest": manifest_path}

@@ -1,29 +1,15 @@
 """Benchmark problems: artificial fitness landscapes and instrumented
 numerical functions with statement/branch coverage targets."""
 
-from .artificial import (
-    ARTIFICIAL_KINDS,
-    DECEPTIVE,
-    GRADIENT,
-    INFEASIBLE,
-    PLATEAU,
-    ArtificialProblem,
-    rho,
-)
+from .artificial import ARTIFICIAL_KINDS, INFEASIBLE, ArtificialProblem, rho
 from .suts import SUT_NAMES, SutFault, SutProblem
 
 __all__ = [
     "ARTIFICIAL_KINDS",
-    "GRADIENT",
-    "PLATEAU",
-    "DECEPTIVE",
     "INFEASIBLE",
     "ArtificialProblem",
     "rho",
     "SUT_NAMES",
     "SutProblem",
     "SutFault",
-    "InputSpec",
 ]
-
-from .base import InputSpec

@@ -506,7 +506,6 @@ _G_GCF_CONV = _site(_GAMMQ_BRANCHES, "gcf_conv")
 
 @dataclass(frozen=True)
 class _SutDefinition:
-    name: str
     run: callable
     statements: tuple
     branches: tuple
@@ -516,7 +515,6 @@ class _SutDefinition:
 
 _DEFINITIONS = {
     "triangle": _SutDefinition(
-        "triangle",
         _triangle,
         _TRIANGLE_STATEMENTS,
         _TRIANGLE_BRANCHES,
@@ -528,7 +526,6 @@ _DEFINITIONS = {
         ("a", "b", "c"),
     ),
     "expint": _SutDefinition(
-        "expint",
         _expint,
         _EXPINT_STATEMENTS,
         _EXPINT_BRANCHES,
@@ -539,7 +536,6 @@ _DEFINITIONS = {
         ("n", "x"),
     ),
     "gammq": _SutDefinition(
-        "gammq",
         _gammq,
         _GAMMQ_STATEMENTS,
         _GAMMQ_BRANCHES,

@@ -8,7 +8,8 @@ from suitesearch.core import EmptyArchiveError, HeuristicVector, TestCase
 
 
 def vec(z, k, h):
-    return HeuristicVector.single(z, k, h)
+    """Heuristic vector that is zero everywhere except target k."""
+    return HeuristicVector(z, {k: h} if h > 0.0 else {})
 
 
 def multi(z, entries):

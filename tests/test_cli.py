@@ -109,6 +109,16 @@ class TestRunCommand:
         )
         assert code == 0
 
+    def test_unknown_config_key_is_an_error(self, tmp_path, capsys):
+        # A misspelt key would otherwise leave its setting at the default.
+        cfg = tmp_path / "plan.cfg"
+        cfg.write_text("family = gradient\nz_list = 1\nbudgte = 10\nreps = 1\n")
+        code = run_cli("run", "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}: unknown key 'budgte'" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_r_below_one_is_a_flag_error(self, source, tmp_path, capsys):
         if source == "flag":

@@ -138,7 +138,7 @@ class TestTestCase:
 
 class TestHeuristicVector:
     def test_single_and_dense_round_trip(self):
-        h = HeuristicVector.single(4, 2, 0.25)
+        h = HeuristicVector(4, {2: 0.25})
         assert len(h) == 4
         assert h[2] == 0.25
         assert h[0] == 0.0
@@ -146,17 +146,7 @@ class TestHeuristicVector:
         assert h.dense().tolist() == [0.0, 0.0, 0.25, 0.0]
         assert h.sum() == 0.25
 
-    def test_from_dense_drops_zeros(self):
-        h = HeuristicVector.from_dense([0.0, 0.5, 0.0, 1.0])
-        assert dict(h.items()) == {1: 0.5, 3: 1.0}
-
-    def test_out_of_range_values_rejected(self):
-        with pytest.raises(ValueError):
-            HeuristicVector.single(3, 0, 1.5)
-        with pytest.raises(ValueError):
-            HeuristicVector.from_dense([0.2, -0.1])
-
     def test_index_bounds(self):
-        h = HeuristicVector.single(3, 0, 0.5)
+        h = HeuristicVector(3, {0: 0.5})
         with pytest.raises(IndexError):
             h[3]

@@ -1,9 +1,11 @@
-"""Smoke tests for the scripts outside the package: the demos run, and the
-slow scripts at least import names the library still provides."""
+"""Smoke tests for the code outside the package: the demos and the README's
+quick start run, and the slow scripts at least import names the library
+still provides."""
 
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,16 +17,27 @@ FAST_DEMOS = ("landscape_tour.py", "single_search_run.py", "unit_testing_subject
 SLOW_SCRIPTS = ("demos/algorithm_shootout.py", "calibrate_acceptance.py")
 
 
-@pytest.mark.parametrize("name", FAST_DEMOS)
-def test_demo_runs(name):
+def _run_python(args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / name)],
-        env=env, capture_output=True, text=True, timeout=120,
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+@pytest.mark.parametrize("name", FAST_DEMOS)
+def test_demo_runs(name):
+    done = _run_python([str(ROOT / "demos" / name)])
+    assert done.returncode == 0, done.stderr
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.S | re.M)
+    assert len(blocks) == 1
+    done = _run_python(["-c", blocks[0]])
     assert done.returncode == 0, done.stderr
 
 

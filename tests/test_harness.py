@@ -69,11 +69,10 @@ class TestRunPlan:
             assert ",".join(map(str, problem.optima)) == fields["optima"]
 
     def test_invalid_cells_reported_not_run(self):
-        result = run_plan(small_plan(params=(2, -3)))
-        assert len(result.skipped) == 1
-        assert result.skipped[0][0] == -3
-        assert "-3" in result.skipped[0][1]
-        assert {r.param for r in result.rows} == {2}
+        # A bad parameter is reported when the plan is built, naming the
+        # value, so no cell of the plan ever runs.
+        with pytest.raises(ValueError, match="target count -3 must be >= 1"):
+            small_plan(params=(2, -3))
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):
@@ -98,6 +97,10 @@ class TestRunPlan:
             dict(budget=-1),
             dict(r=0),
             dict(params=(3, 3)),
+            dict(params=()),
+            dict(params=(0,)),
+            dict(family="infeasible", params=(-1,)),
+            dict(params=(2.5,)),
         ],
     )
     def test_invalid_plan_rejected_at_construction(self, bad):
@@ -165,12 +168,12 @@ class TestCsvEmission:
         write_summary(summarize_rows(rows), recomputed)
         assert recomputed.read_bytes() == paths["summary"].read_bytes()
 
-    def test_header_only_when_no_valid_cells(self, tmp_path):
-        result = run_plan(small_plan(params=(-1,)))
-        paths = emit_csv(result, tmp_path)
-        assert paths["raw"].read_text().strip().count("\n") == 0
-        assert paths["summary"].read_text().strip().count("\n") == 0
-        assert "skipped" in paths["manifest"].read_text()
+    def test_header_only_when_no_valid_cells(self):
+        # A plan with no runnable cell, which would emit header-only CSVs,
+        # cannot be built.
+        for params in ((-1,), ()):
+            with pytest.raises(ValueError):
+                small_plan(params=params)
 
     def test_manifest_records_plan_and_instances(self, tmp_path):
         result = run_plan(small_plan())

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .archive import Archive
-from .core import Budget, ParameterSchedule, TestCase
+from .core import Budget, ParameterSchedule, TestCase, randbelow
 
 # Probability of the disruptive mutation that re-randomizes the whole test.
 DISRUPTIVE_MUTATION_P = 0.01
@@ -84,8 +84,8 @@ def mutate(test: TestCase, problem, rng) -> TestCase:
     if rng.random() < DISRUPTIVE_MUTATION_P:
         return problem.random_test(rng)
     inputs = test.inputs
-    idx = rng.randrange(len(inputs)) if len(inputs) > 1 else 0
-    step = 1 << rng.randint(0, MAX_STEP_EXPONENT)
+    idx = randbelow(rng, len(inputs)) if len(inputs) > 1 else 0
+    step = 1 << randbelow(rng, MAX_STEP_EXPONENT + 1)
     if rng.random() < 0.5:
         step = -step
     new_inputs = list(inputs)
@@ -188,12 +188,11 @@ def run_mosa(problem, budget: Budget, rng) -> SearchResult:
     ranks = _mosa_ranks(rows[:POPULATION_SIZE], _uncovered_ids(archive, z))
 
     while budget.has_remaining() and archive.covered_count < z:
-        rank_of = ranks.__getitem__
         while len(tests) < 2 * POPULATION_SIZE:
             if not budget.has_remaining() or archive.covered_count >= z:
                 break
-            first = tests[_tournament_min(rng, POPULATION_SIZE, TOURNAMENT_SIZE, rank_of)]
-            second = tests[_tournament_min(rng, POPULATION_SIZE, TOURNAMENT_SIZE, rank_of)]
+            first = tests[_tournament_min(rng, ranks, TOURNAMENT_SIZE)]
+            second = tests[_tournament_min(rng, ranks, TOURNAMENT_SIZE)]
             for child in (first, second):
                 if len(tests) >= 2 * POPULATION_SIZE:
                     break
@@ -218,12 +217,28 @@ def _uncovered_ids(archive: Archive, z: int) -> list:
     return [k for k in range(z) if k not in covered]
 
 
-def _tournament_min(rng, pool_size: int, k: int, key) -> int:
-    best = rng.randrange(pool_size)
-    best_key = key(best)
-    for _ in range(min(k, pool_size) - 1):
-        i = rng.randrange(pool_size)
-        key_i = key(i)
+def _tournament_min(rng, keys: list, k: int) -> int:
+    """Index of the least of ``min(k, len(keys))`` uniform draws from
+    ``keys``; the earliest draw wins ties.
+
+    The draws are :func:`randbelow`'s loop written out, because a call per
+    draw costs more than the draw: the same values, the same generator
+    state.
+    """
+    n = len(keys)
+    if n < 1:
+        raise ValueError("tournament over no keys")
+    getrandbits = rng.getrandbits
+    bits = n.bit_length()
+    best = getrandbits(bits)
+    while best >= n:
+        best = getrandbits(bits)
+    best_key = keys[best]
+    for _ in range(min(k, n) - 1):
+        i = getrandbits(bits)
+        while i >= n:
+            i = getrandbits(bits)
+        key_i = keys[i]
         if key_i < best_key:
             best, best_key = i, key_i
     return best
@@ -384,7 +399,7 @@ def run_wts(problem, budget: Budget, rng) -> SearchResult:
             return _finish(archive, budget)
         suite = [
             (problem.random_test(rng), None)
-            for _ in range(rng.randint(1, WTS_MAX_SUITE_SIZE))
+            for _ in range(1 + randbelow(rng, WTS_MAX_SUITE_SIZE))
         ]
         if not execute_missing(suite):
             return _finish(archive, budget)
@@ -393,17 +408,13 @@ def run_wts(problem, budget: Budget, rng) -> SearchResult:
     fits = [fitness(s) for s in population]
 
     while budget.has_remaining() and archive.covered_count < z:
-        elite = min(range(len(population)), key=lambda i: (fits[i], i))
-        offspring: list = [list(population[elite])]
+        # (fitness, index) keys: the tournaments and the elite take the
+        # lowest fitness, and the lowest index among equals.
+        keys = list(zip(fits, range(len(fits))))
+        offspring: list = [list(population[min(keys)[1]])]
         while len(offspring) < POPULATION_SIZE:
-            i = _tournament_min(
-                rng, len(population), TOURNAMENT_SIZE,
-                key=lambda i: (fits[i], i),
-            )
-            j = _tournament_min(
-                rng, len(population), TOURNAMENT_SIZE,
-                key=lambda i: (fits[i], i),
-            )
+            i = _tournament_min(rng, keys, TOURNAMENT_SIZE)
+            j = _tournament_min(rng, keys, TOURNAMENT_SIZE)
             if rng.random() < WTS_CROSSOVER_P:
                 c1, c2 = _suite_crossover(population[i], population[j], rng)
             else:
@@ -445,7 +456,7 @@ def _mutate_suite(suite: list, problem, rng):
             suite.append((problem.random_test(rng), None))
     elif roll < SUITE_ADD_P + SUITE_REMOVE_P:
         if len(suite) > 1:
-            del suite[rng.randrange(len(suite))]
+            del suite[randbelow(rng, len(suite))]
     else:
-        i = rng.randrange(len(suite))
+        i = randbelow(rng, len(suite))
         suite[i] = (mutate(suite[i][0], problem, rng), None)

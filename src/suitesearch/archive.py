@@ -11,7 +11,7 @@ targets of search effort.
 
 from __future__ import annotations
 
-from .core import EmptyArchiveError, HeuristicVector, TestCase
+from .core import EmptyArchiveError, HeuristicVector, TestCase, randbelow
 
 
 class ScoredTest:
@@ -207,7 +207,7 @@ class Archive:
         if not eligible:
             if not self._covered_ids:
                 raise EmptyArchiveError("no tests stored in any population")
-            k = self._covered_ids[rng.randrange(len(self._covered_ids))]
+            k = self._covered_ids[randbelow(rng, len(self._covered_ids))]
             entry = self.populations[k].entries[0]
             return k, entry.test, entry.coverage_sum
         if fds:
@@ -221,12 +221,12 @@ class Archive:
                     ties = [k]
                 elif c == best_c:
                     ties.append(k)
-            k = ties[0] if len(ties) == 1 else ties[rng.randrange(len(ties))]
+            k = ties[0] if len(ties) == 1 else ties[randbelow(rng, len(ties))]
             pops[k].counter += 1
         else:
-            k = eligible[rng.randrange(len(eligible))]
+            k = eligible[randbelow(rng, len(eligible))]
         entries = self.populations[k].entries
-        entry = entries[rng.randrange(len(entries))]
+        entry = entries[randbelow(rng, len(entries))]
         return k, entry.test, entry.coverage_sum
 
     # -- maintenance ------------------------------------------------------

@@ -75,7 +75,10 @@ def _check_reps_workers(reps: int, workers: int):
 def _build_run_plan(args) -> tuple:
     options = {}
     if args.config:
-        options = read_config(args.config)
+        try:
+            options = read_config(args.config)
+        except ValueError as exc:  # a malformed line or a repeated key
+            raise CliError(str(exc)) from None
         for key in options:
             if key not in CONFIG_KEYS:
                 raise CliError(
@@ -103,10 +106,6 @@ def _build_run_plan(args) -> tuple:
             params = INFEASIBLE_GRID if family == INFEASIBLE else Z_GRID
         else:
             params = _parse_int_list(str(z_text), "--z-list")
-        low = 0 if family == INFEASIBLE else 1
-        bad = [p for p in params if p < low]
-        if bad:
-            raise CliError(f"--z-list: value {bad[0]} must be >= {low} for {family}")
     algorithms = pick(args.algorithms, "algorithms", "mio,mosa,wts,random")
     algorithms = _distinct(
         tuple(a.strip() for a in str(algorithms).split(",") if a.strip()), "--algorithms"
@@ -128,15 +127,20 @@ def _build_run_plan(args) -> tuple:
         raise CliError("--r: must be >= 1")
     _check_reps_workers(reps, workers)
     out_dir = pick(args.out_dir, "out_dir", "results")
-    plan = ExperimentPlan(
-        family=family,
-        params=params,
-        algorithms=algorithms,
-        repetitions=reps,
-        budget=budget,
-        base_seed=seed,
-        r=r,
-    )
+    try:
+        plan = ExperimentPlan(
+            family=family,
+            params=params,
+            algorithms=algorithms,
+            repetitions=reps,
+            budget=budget,
+            base_seed=seed,
+            r=r,
+        )
+    except ValueError as exc:
+        # Every other value was checked above as its own flag, so the plan
+        # can only reject a parameter it has no instance for.
+        raise CliError(f"--z-list: {exc}") from None
     return plan, Path(out_dir), workers
 
 

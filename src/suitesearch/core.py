@@ -1,6 +1,6 @@
 """Shared domain types: test cases, heuristic vectors, evaluation budgets and
 the time-linear parameter schedules that drive the exploration/exploitation
-tradeoff.
+tradeoff, plus the one integer draw every search step uses.
 
 Time is measured in fitness evaluations, never wall-clock: the elapsed
 fraction ``t = used / max`` is what every schedule sees, so runs are
@@ -21,6 +21,26 @@ class BudgetExhaustedError(RuntimeError):
 
 class EmptyArchiveError(RuntimeError):
     """Raised when sampling from an archive with no stored tests."""
+
+
+def randbelow(rng, n: int) -> int:
+    """A uniform int in [0, n), drawn from ``rng`` exactly as
+    ``rng.randrange(n)`` draws it.
+
+    This is CPython's ``Random._randbelow_with_getrandbits``: take
+    ``n.bit_length()`` bits and draw again while the value is >= n. From the
+    same generator state it returns the same value and leaves the same
+    state as ``randrange``, so outputs stay reproducible, but it skips the
+    two interpreter frames and argument checks ``randrange`` adds per draw.
+    ``randint(a, b)`` is ``a + randbelow(rng, b - a + 1)``.
+    """
+    if n < 1:
+        raise ValueError(f"empty range for randbelow: {n}")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
 
 
 class TestCase:

@@ -103,9 +103,12 @@ class ExperimentPlan:
 
     def cell_is_valid(self, param) -> str | None:
         """Reason ``param`` cannot be an instance of the plan's family, or
-        None when it can. Subjects take any parameter; landscapes need an
-        integer target count >= 1, or an infeasible count >= 0."""
+        None when it can. A subject is one fixed instance, parameter 0;
+        landscapes need an integer target count >= 1, or an infeasible
+        count >= 0."""
         if self.family in SUT_NAMES:
+            if param != 0 or not isinstance(param, int):
+                return f"subject {self.family} takes parameter 0 only, got {param!r}"
             return None
         if not isinstance(param, int):
             return f"parameter {param!r} is not an integer"
@@ -420,7 +423,8 @@ def read_config(path) -> dict:
     """Parse a flat ``key = value`` config file.
 
     Blank lines and lines starting with ``#`` are ignored; values keep
-    internal whitespace; list values are comma-separated.
+    internal whitespace; list values are comma-separated. A key may appear
+    once: a repeated key is rejected like a malformed line.
     """
     options = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -430,5 +434,8 @@ def read_config(path) -> dict:
         if "=" not in stripped:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = stripped.partition("=")
-        options[key.strip()] = value.strip()
+        key = key.strip()
+        if key in options:
+            raise ValueError(f"{path}:{lineno}: key {key!r} given twice")
+        options[key] = value.strip()
     return options

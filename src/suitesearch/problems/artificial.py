@@ -19,7 +19,7 @@ Distances map to heuristics through ``rho(d) = 1 / (1 + d)``.
 from __future__ import annotations
 
 from .base import InputSpec
-from ..core import HeuristicVector, TestCase
+from ..core import HeuristicVector, TestCase, randbelow
 
 GRADIENT = "gradient"
 PLATEAU = "plateau"
@@ -86,7 +86,7 @@ class ArtificialProblem:
                 raise ValueError("z must be a positive target count")
             feasible = z
             infeasible_count = 0
-        optima = tuple(rng.randint(0, r) for _ in range(feasible))
+        optima = tuple(randbelow(rng, r + 1) for _ in range(feasible))
         return cls(kind, optima, r=r, infeasible_count=infeasible_count)
 
     # -- problem interface --------------------------------------------------
@@ -95,7 +95,7 @@ class ArtificialProblem:
         return range(len(self.optima))
 
     def random_test(self, rng) -> TestCase:
-        return TestCase(rng.randrange(self.target_count), (rng.randint(0, self.r),))
+        return TestCase(randbelow(rng, self.target_count), (randbelow(rng, self.r + 1),))
 
     def evaluate(self, test: TestCase) -> HeuristicVector:
         """Heuristic vector of one test: zero everywhere except its own id."""

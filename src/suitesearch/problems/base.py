@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..core import randbelow
+
 
 @dataclass(frozen=True)
 class InputSpec:
@@ -22,5 +24,6 @@ class InputSpec:
 
     def draw(self, rng):
         if self.integer:
-            return rng.randint(int(self.low), int(self.high))
+            low = int(self.low)
+            return low + randbelow(rng, int(self.high) - low + 1)
         return rng.uniform(self.low, self.high)

@@ -12,6 +12,7 @@ from suitesearch.algorithms import (
     _fronts,
     _mosa_ranks,
     _mosa_sort,
+    _tournament_min,
     mutate,
     run_mio,
     run_mosa,
@@ -43,31 +44,29 @@ class ScriptedRandom:
     def random(self):
         return self._next("random")
 
-    def randint(self, a, b):
-        return self._next("randint")
-
-    def randrange(self, n):
-        return self._next("randrange")
+    def getrandbits(self, k):
+        return self._next("getrandbits")
 
 
 class TestMutate:
     def setup_method(self):
         self.problem = ArtificialProblem("gradient", (500,), r=1000)
 
+    # The step exponent is one 4-bit draw, accepted because it is below 11.
     def test_power_of_two_step(self):
         # No disruption, exponent 3, positive sign: 500 + 2**3 = 508.
-        rng = ScriptedRandom([("random", 0.5), ("randint", 3), ("random", 0.9)])
+        rng = ScriptedRandom([("random", 0.5), ("getrandbits", 3), ("random", 0.9)])
         out = mutate(TestCase(0, (500,)), self.problem, rng)
         assert out.inputs == (508,)
         assert out.id == 0
 
     def test_negative_step(self):
-        rng = ScriptedRandom([("random", 0.5), ("randint", 3), ("random", 0.1)])
+        rng = ScriptedRandom([("random", 0.5), ("getrandbits", 3), ("random", 0.1)])
         out = mutate(TestCase(0, (500,)), self.problem, rng)
         assert out.inputs == (492,)
 
     def test_step_clamped_to_range(self):
-        rng = ScriptedRandom([("random", 0.5), ("randint", 0), ("random", 0.9)])
+        rng = ScriptedRandom([("random", 0.5), ("getrandbits", 0), ("random", 0.9)])
         out = mutate(TestCase(0, (1000,)), self.problem, rng)
         assert out.inputs == (1000,)
 
@@ -102,6 +101,44 @@ class TestMutate:
             test = mutate(test, problem, random.Random(seed))
             for v, spec in zip(test.inputs, problem.input_specs):
                 assert spec.low <= v <= spec.high
+
+
+def _reference_tournament_min(rng, pool_size, k, key):
+    """The tournament as it read with one ``randrange`` call per draw."""
+    best = rng.randrange(pool_size)
+    best_key = key(best)
+    for _ in range(min(k, pool_size) - 1):
+        i = rng.randrange(pool_size)
+        key_i = key(i)
+        if key_i < best_key:
+            best, best_key = i, key_i
+    return best
+
+
+class TestTournament:
+    @given(
+        seed=st.integers(0, 2**32),
+        keys=st.one_of(
+            # MOSA's ranks, and WTS's (fitness, index) keys with repeated
+            # fitness values so that ties are common.
+            st.lists(st.integers(0, 5), min_size=1, max_size=130),
+            st.lists(st.sampled_from([0.0, 0.5, 1.5, 2.0]), min_size=1, max_size=130).map(
+                lambda fits: list(zip(fits, range(len(fits))))
+            ),
+        ),
+        k=st.integers(1, 12),
+        rounds=st.integers(1, 4),
+    )
+    def test_matches_randrange_tournament(self, seed, keys, k, rounds):
+        rng, twin = random.Random(seed), random.Random(seed)
+        for _ in range(rounds):
+            got = _tournament_min(rng, keys, k)
+            assert got == _reference_tournament_min(twin, len(keys), k, keys.__getitem__)
+        assert rng.getstate() == twin.getstate()
+
+    def test_no_keys_rejected(self):
+        with pytest.raises(ValueError):
+            _tournament_min(random.Random(1), [], 10)
 
 
 class TestConfigValidation:

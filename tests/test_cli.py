@@ -119,6 +119,31 @@ class TestRunCommand:
         assert f"{cfg}: unknown key 'budgte'" in err
         assert not (tmp_path / "out").exists()
 
+    def test_repeated_config_key_is_an_error(self, tmp_path, capsys):
+        cfg = tmp_path / "plan.cfg"
+        cfg.write_text("family = gradient\nz_list = 1\nbudget = 10\nbudget = 20\nreps = 1\n")
+        code = run_cli("run", "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert f"{cfg}:4: key 'budget' given twice" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "family, z, message",
+        [
+            ("gradient", "0", "--z-list: target count 0 must be >= 1"),
+            ("infeasible", "3,-1", "--z-list: infeasible count -1 is negative"),
+        ],
+        ids=["gradient", "infeasible"],
+    )
+    def test_z_below_family_minimum_is_a_flag_error(self, family, z, message, tmp_path, capsys):
+        code = run_cli(
+            "run", "--family", family, "--z-list", z, "--budget", "10", "--reps", "1",
+            "--out-dir", str(tmp_path / "out"),
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_r_below_one_is_a_flag_error(self, source, tmp_path, capsys):
         if source == "flag":

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from suitesearch.core import (
     HeuristicVector,
     ParameterSchedule,
     TestCase,
+    randbelow,
 )
 
 DEFAULT = ParameterSchedule()  # F=0.5, Pr 0.5->0, n 10->1, m 1->10
@@ -150,3 +152,33 @@ class TestHeuristicVector:
         h = HeuristicVector(3, {0: 0.5})
         with pytest.raises(IndexError):
             h[3]
+
+
+# Range sizes where rejection sampling is most likely to slip: 1 (one bit,
+# redrawn half the time), powers of two (no redraw) and their neighbours
+# (up to half the draws redrawn), up to widths of 70 bits.
+EDGE_SIZES = sorted(
+    {n for k in range(71) for n in (2**k - 1, 2**k, 2**k + 1) if n >= 1}
+)
+
+
+class TestRandbelow:
+    @given(
+        seed=st.integers(0, 2**64),
+        sizes=st.lists(
+            st.one_of(st.sampled_from(EDGE_SIZES), st.integers(1, 2**70)),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    def test_matches_randrange_value_and_state(self, seed, sizes):
+        rng, twin = random.Random(seed), random.Random(seed)
+        assert [randbelow(rng, n) for n in sizes] == [twin.randrange(n) for n in sizes]
+        assert rng.getstate() == twin.getstate()
+
+    @pytest.mark.parametrize("n", [0, -1, -(2**70)])
+    def test_empty_range_rejected(self, n):
+        with pytest.raises(ValueError):
+            randbelow(random.Random(1), n)
+        with pytest.raises(ValueError):
+            random.Random(1).randrange(n)

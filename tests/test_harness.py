@@ -101,6 +101,9 @@ class TestRunPlan:
             dict(params=(0,)),
             dict(family="infeasible", params=(-1,)),
             dict(params=(2.5,)),
+            dict(family="triangle", params=(0, -5, "x")),
+            dict(family="gammq", params=(1,)),
+            dict(family="expint", params=(0.0,)),
         ],
     )
     def test_invalid_plan_rejected_at_construction(self, bad):
@@ -233,4 +236,11 @@ class TestConfigFiles:
         path = tmp_path / "bad.cfg"
         path.write_text("family = ok\nnonsense\n")
         with pytest.raises(ValueError, match="bad.cfg:2"):
+            read_config(path)
+
+    def test_repeated_key_reports_file_line_and_key(self, tmp_path):
+        # The later line would otherwise win without a word.
+        path = tmp_path / "twice.cfg"
+        path.write_text("budget = 10\nreps = 1\nbudget = 20\n")
+        with pytest.raises(ValueError, match="twice.cfg:3: key 'budget' given twice"):
             read_config(path)

@@ -17,20 +17,21 @@ from the search strategy itself:
 MOSA and WTS run at one fixed setting each, the module constants below;
 only MIO takes a config.
 
-Every test execution consumes exactly one unit of budget, including
-population initialization and the evaluation of fresh tests inside newly
-created suites. A run terminates when the budget is spent or every target
-is covered.
+Every test execution, population initialization and fresh tests in new
+suites included, is one step, ``_Run.evaluate``: spend one unit of budget,
+run the test, offer it to the archive. A run ends when the budget is spent
+or every target is covered, but WTS still executes the rest of the
+generation it is building after the last target is covered.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .archive import Archive
-from .core import Budget, ParameterSchedule, TestCase, randbelow
+from .core import Budget, BudgetExhaustedError, ParameterSchedule, TestCase, randbelow
 
 # Probability of the disruptive mutation that re-randomizes the whole test.
 DISRUPTIVE_MUTATION_P = 0.01
@@ -66,11 +67,11 @@ class MioConfig:
 class SearchResult:
     """Outcome of one run: the extracted suite and coverage bookkeeping."""
 
-    suite: list = field(default_factory=list)
-    covered_count: int = 0
-    covered_targets: tuple = ()
-    coverage_sum: float = 0.0
-    evaluations: int = 0
+    suite: list
+    covered_count: int
+    covered_targets: tuple
+    coverage_sum: float
+    evaluations: int
 
 
 def mutate(test: TestCase, problem, rng) -> TestCase:
@@ -93,14 +94,48 @@ def mutate(test: TestCase, problem, rng) -> TestCase:
     return TestCase(test.id, tuple(new_inputs), test.size)
 
 
-def _finish(archive: Archive, budget: Budget) -> SearchResult:
-    return SearchResult(
-        suite=archive.extract_suite(),
-        covered_count=archive.covered_count,
-        covered_targets=tuple(sorted(archive.covered_targets())),
-        coverage_sum=archive.coverage_sum(),
-        evaluations=budget.used_evaluations,
-    )
+class _Run:
+    """One run's problem, archive and budget, and the evaluation step every
+    algorithm takes; ``over`` is true once the budget is spent or every
+    target is covered. ``problem.evaluate`` and ``archive.save`` are looked
+    up on every call, so wrappers on their classes or instances see each."""
+
+    __slots__ = ("problem", "archive", "budget", "z", "over")
+
+    def __init__(self, problem, budget: Budget):
+        self.problem = problem
+        self.z = problem.target_count
+        self.archive = Archive(self.z)
+        self.budget = budget
+        self.over = self.spent()
+
+    def spent(self) -> bool:
+        return self.budget.used_evaluations >= self.budget.max_evaluations
+
+    def evaluate(self, test: TestCase, capacity: int):
+        """Spend one evaluation on ``test``, save it at ``capacity``; return its h."""
+        budget = self.budget
+        used = budget.used_evaluations
+        if used >= budget.max_evaluations:
+            raise BudgetExhaustedError(
+                f"budget of {budget.max_evaluations} evaluations exhausted"
+            )
+        budget.used_evaluations = used = used + 1
+        h = self.problem.evaluate(test)
+        archive = self.archive
+        archive.save(test, h, capacity)
+        self.over = used >= budget.max_evaluations or archive.covered_count >= self.z
+        return h
+
+    def finish(self) -> SearchResult:
+        archive = self.archive
+        return SearchResult(
+            suite=archive.extract_suite(),
+            covered_count=archive.covered_count,
+            covered_targets=tuple(sorted(archive.covered_targets())),
+            coverage_sum=archive.coverage_sum(),
+            evaluations=self.budget.used_evaluations,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -110,41 +145,38 @@ def _finish(archive: Archive, budget: Budget) -> SearchResult:
 
 def run_mio(problem, config: MioConfig, budget: Budget, rng) -> SearchResult:
     schedule = config.schedule
-    z = problem.target_count
-    archive = Archive(z)
+    run = _Run(problem, budget)
+    archive = run.archive
+    cap = budget.max_evaluations
     last_n = schedule.n_start
 
-    while budget.has_remaining() and archive.covered_count < z:
-        t = budget.elapsed_fraction()
+    while not run.over:
+        t = budget.used_evaluations / cap
         if archive.is_empty() or rng.random() < schedule.pr(t):
-            test = problem.random_test(rng)
-            last_n = _mio_evaluate(problem, test, archive, budget, schedule, last_n)[1]
+            current, steps = None, 1
         else:
             # Up to m successive mutate-evaluate-save steps from the sampled
             # parent, hill-climbing total heuristic mass: a mutant no worse
             # than the current test becomes the next parent, so the focused
             # phase behaves like parallel (1+1) EAs.
             _, current, current_sum = archive.sample_with_target(rng, fds=config.fds_enabled)
-            for _ in range(schedule.m(t)):
-                if not budget.has_remaining() or archive.covered_count >= z:
-                    break
-                mutant = mutate(current, problem, rng)
-                h, last_n = _mio_evaluate(problem, mutant, archive, budget, schedule, last_n)
-                mutant_sum = h.sum()
-                if mutant_sum >= current_sum:
-                    current = mutant
-                    current_sum = mutant_sum
-    return _finish(archive, budget)
-
-
-def _mio_evaluate(problem, test, archive, budget, schedule, last_n):
-    budget.consume()
-    h = problem.evaluate(test)
-    n_now = schedule.n(budget.elapsed_fraction())
-    archive.save(test, h, n_now)
-    if n_now != last_n:
-        archive.shrink_to(n_now)
-    return h, n_now
+            steps = schedule.m(t)
+        for _ in range(steps):
+            test = (problem.random_test(rng) if current is None
+                    else mutate(current, problem, rng))
+            # The capacity at the elapsed fraction this evaluation reaches.
+            n = schedule.n((budget.used_evaluations + 1) / cap)
+            h = run.evaluate(test, n)
+            if n != last_n:
+                archive.shrink_to(n)
+                last_n = n
+            if current is not None:
+                test_sum = h.sum()
+                if test_sum >= current_sum:
+                    current, current_sum = test, test_sum
+            if run.over:
+                break
+    return run.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -153,13 +185,10 @@ def _mio_evaluate(problem, test, archive, budget, schedule, last_n):
 
 
 def run_random(problem, budget: Budget, rng) -> SearchResult:
-    z = problem.target_count
-    archive = Archive(z)
-    while budget.has_remaining() and archive.covered_count < z:
-        test = problem.random_test(rng)
-        budget.consume()
-        archive.save(test, problem.evaluate(test), FIXED_ARCHIVE_CAPACITY)
-    return _finish(archive, budget)
+    run = _Run(problem, budget)
+    while not run.over:
+        run.evaluate(problem.random_test(rng), FIXED_ARCHIVE_CAPACITY)
+    return run.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -168,48 +197,38 @@ def run_random(problem, budget: Budget, rng) -> SearchResult:
 
 
 def run_mosa(problem, budget: Budget, rng) -> SearchResult:
-    z = problem.target_count
-    archive = Archive(z)
+    run = _Run(problem, budget)
+    archive, z = run.archive, run.z
 
     # rows[i] is the dense heuristic row of tests[i]: the population fills
     # rows [0, P) and its offspring rows [P, 2P).
     tests: list = []
     rows = np.empty((2 * POPULATION_SIZE, z), dtype=np.float32)
     while len(tests) < POPULATION_SIZE:
-        if not budget.has_remaining() or archive.covered_count >= z:
-            return _finish(archive, budget)
+        if run.over:
+            return run.finish()
         test = problem.random_test(rng)
-        budget.consume()
-        h = problem.evaluate(test)
-        archive.save(test, h, FIXED_ARCHIVE_CAPACITY)
-        rows[len(tests)] = h.dense()
+        rows[len(tests)] = run.evaluate(test, FIXED_ARCHIVE_CAPACITY).dense()
         tests.append(test)
 
     ranks = _mosa_ranks(rows[:POPULATION_SIZE], _uncovered_ids(archive, z))
 
-    while budget.has_remaining() and archive.covered_count < z:
-        while len(tests) < 2 * POPULATION_SIZE:
-            if not budget.has_remaining() or archive.covered_count >= z:
-                break
+    while not run.over:
+        while len(tests) < 2 * POPULATION_SIZE and not run.over:
             first = tests[_tournament_min(rng, ranks, TOURNAMENT_SIZE)]
             second = tests[_tournament_min(rng, ranks, TOURNAMENT_SIZE)]
             for child in (first, second):
-                if len(tests) >= 2 * POPULATION_SIZE:
-                    break
-                if not budget.has_remaining() or archive.covered_count >= z:
+                if len(tests) >= 2 * POPULATION_SIZE or run.over:
                     break
                 child = mutate(child, problem, rng)
-                budget.consume()
-                h = problem.evaluate(child)
-                archive.save(child, h, FIXED_ARCHIVE_CAPACITY)
-                rows[len(tests)] = h.dense()
+                rows[len(tests)] = run.evaluate(child, FIXED_ARCHIVE_CAPACITY).dense()
                 tests.append(child)
-        if not budget.has_remaining() or archive.covered_count >= z:
+        if run.over:
             break  # the run is over, so nothing would read a last ranking
         keep, ranks = _mosa_sort(rows, _uncovered_ids(archive, z), POPULATION_SIZE)
         tests = [tests[i] for i in keep]
         rows[:POPULATION_SIZE] = rows[keep]
-    return _finish(archive, budget)
+    return run.finish()
 
 
 def _uncovered_ids(archive: Archive, z: int) -> list:
@@ -367,23 +386,21 @@ def run_wts(problem, budget: Budget, rng) -> SearchResult:
     looked up in ``dense``, the rows of every test executed so far, which
     keeps a structurally equal test from being executed twice.
     """
-    z = problem.target_count
-    archive = Archive(z)
+    run = _Run(problem, budget)
+    z = run.z
     dense: dict = {}  # test -> dense heuristic row, filled once per executed test
 
     def execute_missing(suite: list) -> bool:
-        """Evaluate any not-yet-run test; False when the budget dies first."""
+        """Evaluate any not-yet-run test; False when the budget dies first
+        (only the budget stops it, not full coverage)."""
         for i, (test, row) in enumerate(suite):
             if row is not None:
                 continue
             row = dense.get(test)
             if row is None:
-                if not budget.has_remaining():
+                if run.spent():
                     return False
-                budget.consume()
-                h = problem.evaluate(test)
-                archive.save(test, h, FIXED_ARCHIVE_CAPACITY)
-                row = dense[test] = h.dense()
+                row = dense[test] = run.evaluate(test, FIXED_ARCHIVE_CAPACITY).dense()
             suite[i] = (test, row)
         return True
 
@@ -395,19 +412,19 @@ def run_wts(problem, budget: Budget, rng) -> SearchResult:
 
     population: list = []
     while len(population) < POPULATION_SIZE:
-        if not budget.has_remaining() or archive.covered_count >= z:
-            return _finish(archive, budget)
+        if run.over:
+            return run.finish()
         suite = [
             (problem.random_test(rng), None)
             for _ in range(1 + randbelow(rng, WTS_MAX_SUITE_SIZE))
         ]
         if not execute_missing(suite):
-            return _finish(archive, budget)
+            return run.finish()
         population.append(suite)
 
     fits = [fitness(s) for s in population]
 
-    while budget.has_remaining() and archive.covered_count < z:
+    while not run.over:
         # (fitness, index) keys: the tournaments and the elite take the
         # lowest fitness, and the lowest index among equals.
         keys = list(zip(fits, range(len(fits))))
@@ -437,7 +454,7 @@ def run_wts(problem, budget: Budget, rng) -> SearchResult:
         keep = order[:POPULATION_SIZE]
         population = [pool[i] for i in keep]
         fits = [pool_fits[i] for i in keep]
-    return _finish(archive, budget)
+    return run.finish()
 
 
 def _suite_crossover(p1: list, p2: list, rng):

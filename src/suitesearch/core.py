@@ -144,23 +144,6 @@ class Budget:
         self.max_evaluations = max_evaluations
         self.used_evaluations = 0
 
-    def has_remaining(self) -> bool:
-        return self.used_evaluations < self.max_evaluations
-
-    def consume(self):
-        """Spend one evaluation."""
-        if self.used_evaluations >= self.max_evaluations:
-            raise BudgetExhaustedError(
-                f"budget of {self.max_evaluations} evaluations exhausted"
-            )
-        self.used_evaluations += 1
-
-    def elapsed_fraction(self) -> float:
-        """Fraction of the budget already spent, in [0, 1]."""
-        if self.max_evaluations == 0:
-            return 1.0
-        return self.used_evaluations / self.max_evaluations
-
 
 def _round_half_away_from_zero(x: float) -> int:
     return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))

@@ -19,6 +19,7 @@ from suitesearch.algorithms import (
     run_random,
     run_wts,
 )
+from suitesearch.archive import Archive
 from suitesearch.core import Budget, ParameterSchedule, TestCase
 from suitesearch.problems import ArtificialProblem, SutProblem
 
@@ -166,12 +167,22 @@ class TestBudgetDiscipline:
         assert result.evaluations == 1
 
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))
-    def test_never_overdraws_and_trace_matches(self, name):
-        # Every execution of a test is one evaluation: the calls to
-        # problem.evaluate match the budget spent, one for one.
+    def test_never_overdraws_and_every_evaluation_is_saved(self, name, monkeypatch):
+        # Every execution of a test is one evaluation, offered once to the
+        # archive: the calls to problem.evaluate and to Archive.save both
+        # match the budget spent, one for one and in the same order.
+        saved = []
+        save = Archive.save
+
+        def counting_save(archive, test, h, capacity):
+            saved.append(test)
+            return save(archive, test, h, capacity)
+
+        monkeypatch.setattr(Archive, "save", counting_save)
         for seed in (1, 2, 3):
             problem = small_problem(seed)
             calls = []
+            saved.clear()
             evaluate = problem.evaluate
 
             def counting_evaluate(test):
@@ -184,6 +195,7 @@ class TestBudgetDiscipline:
             assert result.evaluations <= 137
             assert budget.used_evaluations == result.evaluations
             assert len(calls) == result.evaluations
+            assert saved == calls
 
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))
     def test_full_coverage_terminates_early(self, name):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from suitesearch.algorithms import _Run
 from suitesearch.core import (
     Budget,
     BudgetExhaustedError,
@@ -13,6 +14,7 @@ from suitesearch.core import (
     TestCase,
     randbelow,
 )
+from suitesearch.problems import ArtificialProblem
 
 DEFAULT = ParameterSchedule()  # F=0.5, Pr 0.5->0, n 10->1, m 1->10
 
@@ -82,38 +84,48 @@ class TestScheduleValues:
             ParameterSchedule(n_start=0)
 
 
+def _step_run(max_evaluations, used=0):
+    """A run of the evaluation step on a one-target gradient landscape."""
+    budget = Budget(max_evaluations)
+    budget.used_evaluations = used
+    return _Run(ArtificialProblem("gradient", (500,), r=1000), budget)
+
+
+MISS = TestCase(0, (0,))  # far from the target at 500, so it never covers it
+
+
 class TestBudget:
     def test_consume_counts_and_reports_remaining(self):
-        budget = Budget(1000)
-        budget.consume()
-        assert budget.used_evaluations == 1
-        assert budget.has_remaining()
+        run = _step_run(1000)
+        run.evaluate(MISS, 10)
+        assert run.budget.used_evaluations == 1
+        assert not run.over
 
     def test_last_evaluation_reports_exhaustion(self):
-        budget = Budget(1000)
-        budget.used_evaluations = 999
-        budget.consume()
-        assert budget.used_evaluations == 1000
-        assert not budget.has_remaining()
+        run = _step_run(1000, used=999)
+        assert not run.over
+        run.evaluate(MISS, 10)
+        assert run.budget.used_evaluations == 1000
+        assert run.over and run.spent()
 
     def test_overdraw_raises(self):
-        budget = Budget(1000)
-        budget.used_evaluations = 1000
+        run = _step_run(1000, used=1000)
         with pytest.raises(BudgetExhaustedError):
-            budget.consume()
+            run.evaluate(MISS, 10)
+        # Refused before anything ran: nothing counted, nothing saved.
+        assert run.budget.used_evaluations == 1000
+        assert run.archive.is_empty()
 
     def test_zero_budget(self):
-        budget = Budget(0)
-        assert not budget.has_remaining()
-        assert budget.elapsed_fraction() == 1.0
+        run = _step_run(0)
+        assert run.over
         with pytest.raises(BudgetExhaustedError):
-            budget.consume()
+            run.evaluate(MISS, 10)
 
-    def test_elapsed_fraction(self):
-        budget = Budget(4)
-        assert budget.elapsed_fraction() == 0.0
-        budget.consume()
-        assert budget.elapsed_fraction() == 0.25
+    def test_covering_every_target_ends_the_run(self):
+        run = _step_run(1000)
+        run.evaluate(TestCase(0, (500,)), 10)
+        assert run.over and not run.spent()
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):

@@ -27,6 +27,7 @@ generation it is building after the last target is covered.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -45,6 +46,8 @@ POPULATION_SIZE = 50
 TOURNAMENT_SIZE = 10
 WTS_MAX_SUITE_SIZE = 50
 WTS_CROSSOVER_P = 0.7
+# Rows of WTS's row table before its first doubling.
+_WTS_INITIAL_ROWS = 256
 # WTS suite mutation: add a test, remove one, or (the remaining third)
 # mutate one.
 SUITE_ADD_P = 1.0 / 3.0
@@ -380,55 +383,58 @@ def _crowding(matrix: np.ndarray, rank: np.ndarray) -> np.ndarray:
 def run_wts(problem, budget: Budget, rng) -> SearchResult:
     """Whole-suite GA.
 
-    A suite is a list of (test, dense heuristic row) members. A member keeps
-    its row through crossover and unchanged copies; a new or mutated member
-    carries None until ``execute_missing`` fills it in, so only those are
-    looked up in ``dense``, the rows of every test executed so far, which
-    keeps a structurally equal test from being executed twice.
+    Every executed test's dense heuristic row is written once into a
+    run-wide float32 row table, which doubles whenever it fills; ``dense``
+    maps each executed test to its row number, which keeps a structurally
+    equal test from being executed twice. A suite is a list of row numbers.
+    Suite mutation leaves at most one member pending, a new or mutated test
+    without a row yet, so an offspring executes that member alone. The
+    initial population, and then each generation's offspring, are scored
+    together by :func:`_suite_scores`.
     """
     run = _Run(problem, budget)
-    z = run.z
-    dense: dict = {}  # test -> dense heuristic row, filled once per executed test
+    tests: list = []  # row number -> test
+    dense: dict = {}  # test -> row number, filled once per executed test
+    table = np.zeros((_WTS_INITIAL_ROWS, run.z), dtype=np.float32)
 
-    def execute_missing(suite: list) -> bool:
-        """Evaluate any not-yet-run test; False when the budget dies first
-        (only the budget stops it, not full coverage)."""
-        for i, (test, row) in enumerate(suite):
-            if row is not None:
-                continue
-            row = dense.get(test)
-            if row is None:
-                if run.spent():
-                    return False
-                row = dense[test] = run.evaluate(test, FIXED_ARCHIVE_CAPACITY).dense()
-            suite[i] = (test, row)
-        return True
-
-    def fitness(suite: list) -> float:
-        best = suite[0][1]
-        if len(suite) > 1:
-            best = np.maximum.reduce([row for _, row in suite])
-        return z - float(best.sum())
+    def row_of(test: TestCase):
+        """Row number of ``test``, executing it first when it is new; None
+        when the budget is spent before it could run (only the budget stops
+        it, not full coverage)."""
+        nonlocal table
+        row = dense.get(test)
+        if row is None:
+            if run.spent():
+                return None
+            row = dense[test] = len(tests)
+            if row == len(table):
+                table = np.concatenate((table, np.zeros_like(table)))
+            table[row] = run.evaluate(test, FIXED_ARCHIVE_CAPACITY).dense()
+            tests.append(test)
+        return row
 
     population: list = []
     while len(population) < POPULATION_SIZE:
         if run.over:
             return run.finish()
         suite = [
-            (problem.random_test(rng), None)
+            problem.random_test(rng)
             for _ in range(1 + randbelow(rng, WTS_MAX_SUITE_SIZE))
         ]
-        if not execute_missing(suite):
-            return run.finish()
+        for i, test in enumerate(suite):
+            suite[i] = row_of(test)
+            if suite[i] is None:
+                return run.finish()
         population.append(suite)
 
-    fits = [fitness(s) for s in population]
+    fits = _suite_scores(table, population)
 
     while not run.over:
         # (fitness, index) keys: the tournaments and the elite take the
         # lowest fitness, and the lowest index among equals.
         keys = list(zip(fits, range(len(fits))))
         offspring: list = [list(population[min(keys)[1]])]
+        pending: list = [None]  # per offspring, its pending (position, test)
         while len(offspring) < POPULATION_SIZE:
             i = _tournament_min(rng, keys, TOURNAMENT_SIZE)
             j = _tournament_min(rng, keys, TOURNAMENT_SIZE)
@@ -437,24 +443,43 @@ def run_wts(problem, budget: Budget, rng) -> SearchResult:
             else:
                 c1, c2 = list(population[i]), list(population[j])
             for child in (c1, c2):
-                _mutate_suite(child, problem, rng)
+                member = _mutate_suite(child, tests, problem, rng)
                 if len(offspring) < POPULATION_SIZE:
                     offspring.append(child)
-        alive: list = []
-        for suite in offspring:
-            if not execute_missing(suite):
-                break
-            alive.append(suite)
-        if len(alive) < len(offspring):
-            break
+                    pending.append(member)
+        for suite, member in zip(offspring, pending):
+            if member is not None:
+                i, test = member
+                suite[i] = row_of(test)
+                if suite[i] is None:
+                    return run.finish()
         # Plus-selection: parents and offspring compete for the next round.
-        pool = population + alive
-        pool_fits = fits + [fitness(s) for s in alive]
+        pool = population + offspring
+        pool_fits = fits + _suite_scores(table, offspring)
         order = sorted(range(len(pool)), key=lambda i: (pool_fits[i], i))
         keep = order[:POPULATION_SIZE]
         population = [pool[i] for i in keep]
         fits = [pool_fits[i] for i in keep]
     return run.finish()
+
+
+def _suite_scores(table: np.ndarray, suites: list) -> list:
+    """WTS fitness of each suite of row numbers into ``table``: the row
+    length z minus the float32 sum of the elementwise maximum of its member
+    rows, lower being better.
+
+    One gather of every member row and one ``maximum.reduceat`` at the suite
+    boundaries give each suite's maximum row; a float32 maximum is exact, so
+    it does not depend on how members are grouped. Each maximum row is
+    summed by numpy along its axis, which the tests hold equal, bit for bit,
+    to summing that row alone.
+    """
+    sizes = [len(suite) for suite in suites]
+    members = np.fromiter(chain.from_iterable(suites), dtype=np.intp, count=sum(sizes))
+    starts = np.cumsum(sizes) - sizes
+    best = np.maximum.reduceat(table[members], starts, axis=0)
+    z = table.shape[1]
+    return [z - total for total in best.sum(axis=1).tolist()]
 
 
 def _suite_crossover(p1: list, p2: list, rng):
@@ -466,14 +491,21 @@ def _suite_crossover(p1: list, p2: list, rng):
     return (c1 or list(p1), c2 or list(p2))
 
 
-def _mutate_suite(suite: list, problem, rng):
+def _mutate_suite(suite: list, tests: list, problem, rng):
+    """Add a test, remove one or mutate one, in place. Returns the member
+    added or changed as (position, test): its slot holds no row until the
+    test runs. Returns None when no member is pending."""
     roll = rng.random()
     if roll < SUITE_ADD_P:
         if len(suite) < WTS_MAX_SUITE_SIZE:
-            suite.append((problem.random_test(rng), None))
+            suite.append(None)
+            return len(suite) - 1, problem.random_test(rng)
     elif roll < SUITE_ADD_P + SUITE_REMOVE_P:
         if len(suite) > 1:
             del suite[randbelow(rng, len(suite))]
     else:
         i = randbelow(rng, len(suite))
-        suite[i] = (mutate(suite[i][0], problem, rng), None)
+        test = mutate(tests[suite[i]], problem, rng)
+        suite[i] = None
+        return i, test
+    return None

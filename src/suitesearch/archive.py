@@ -85,12 +85,10 @@ class Archive:
         self._eligible: list[int] = []
         self._eligible_pos: dict[int, int] = {}
         self._covered_ids: list[int] = []
+        # len(_covered_ids), kept as an attribute because every evaluation reads it.
+        self.covered_count = 0
 
     # -- bookkeeping ------------------------------------------------------
-
-    @property
-    def covered_count(self) -> int:
-        return len(self._covered_ids)
 
     def is_empty(self) -> bool:
         # Populations never empty once filled: shrink_to keeps at least one.
@@ -163,6 +161,7 @@ class Archive:
                     pop.covered = True
                     pop.counter = 0
                     self._covered_ids.append(k)
+                    self.covered_count += 1
             else:
                 if pop.covered:
                     continue

@@ -16,6 +16,11 @@ is slot ``i`` of the recorder's statement list, and branch site ``j`` owns
 slots ``2j`` (true) and ``2j + 1`` (false). The declared tuples are the one
 source of the target names and their order.
 
+A loop's statement probe runs once, before its first iteration: a hit flag
+is all a statement records, and every loop body here runs at least once.
+Comparisons inside a loop still call their recorder method on every
+iteration.
+
 Numeric faults raised mid-execution (bad arguments, overflow, failed
 convergence) are part of the subjects' behaviour: the test simply scores
 whatever executed before the fault.
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 from .base import InputSpec
 from ..core import HeuristicVector, TestCase
@@ -243,8 +249,8 @@ def _expint(rec: Recorder, n: int, x: float) -> float:
             c = 1.0 / _FPMIN
             d = 1.0 / b
             h = d
+            rec.stmt(_E_CF_ITER)
             for i in range(1, _MAXIT + 1):
-                rec.stmt(_E_CF_ITER)
                 a = -i * (nm1 + i)
                 b += 2.0
                 d = 1.0 / (a * d + b)
@@ -265,8 +271,8 @@ def _expint(rec: Recorder, n: int, x: float) -> float:
                 rec.stmt(_E_SERIES_LOG)
                 ans = -math.log(x) - _EULER
             fact = 1.0
+            rec.stmt(_E_SERIES_ITER)
             for i in range(1, _MAXIT + 1):
-                rec.stmt(_E_SERIES_ITER)
                 fact *= -x / i
                 if rec.ne(_E_I_NE_NM1, i, nm1):
                     rec.stmt(_E_SERIES_TERM)
@@ -274,8 +280,8 @@ def _expint(rec: Recorder, n: int, x: float) -> float:
                 else:
                     rec.stmt(_E_PSI_INIT)
                     psi = -_EULER
+                    rec.stmt(_E_PSI_ITER)
                     for ii in range(1, nm1 + 1):
-                        rec.stmt(_E_PSI_ITER)
                         psi += 1.0 / ii
                     delta = fact * (-math.log(x) + psi)
                 ans += delta
@@ -373,8 +379,8 @@ def _gammln(rec: Recorder, a: float) -> float:
     tmp = a + 5.5
     tmp -= (a + 0.5) * math.log(tmp)
     ser = 1.000000000190015
+    rec.stmt(_G_GAMMLN_ITER)
     for coefficient in coefficients:
-        rec.stmt(_G_GAMMLN_ITER)
         y += 1.0
         ser += coefficient / y
     return -tmp + math.log(2.5066282746310005 * ser / a)
@@ -390,8 +396,8 @@ def _gser(rec: Recorder, a: float, x: float) -> float:
     ap = a
     total = 1.0 / a
     delta = total
+    rec.stmt(_G_GSER_ITER)
     for _ in range(1, _MAXIT + 1):
-        rec.stmt(_G_GSER_ITER)
         ap += 1.0
         delta *= x / ap
         total += delta
@@ -409,8 +415,8 @@ def _gcf(rec: Recorder, a: float, x: float) -> float:
     c = 1.0 / _FPMIN
     d = 1.0 / b
     h = d
+    rec.stmt(_G_GCF_ITER)
     for i in range(1, _MAXIT + 1):
-        rec.stmt(_G_GCF_ITER)
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -573,6 +579,7 @@ class SutProblem:
         self.branch_site_count = len(d.branches)
         self.target_count = self.statement_count + 2 * self.branch_site_count
         self.input_specs = d.input_specs
+        self._bounds = tuple((spec.low, spec.high) for spec in d.input_specs)
 
     def target_names(self) -> list:
         names = [f"stmt:{s}" for s in self._definition.statements]
@@ -600,19 +607,18 @@ class SutProblem:
     def evaluate(self, test: TestCase) -> HeuristicVector:
         if test.id != 0:
             raise ValueError("subject tests must have id 0")
-        if len(test.inputs) != len(self.input_specs):
-            raise ValueError(
-                f"{self.name} takes {len(self.input_specs)} inputs, got {len(test.inputs)}"
-            )
-        for v, spec in zip(test.inputs, self.input_specs):
-            if not spec.low <= v <= spec.high:
-                raise ValueError(f"input {v} outside [{spec.low}, {spec.high}]")
+        inputs = test.inputs
+        if len(inputs) != len(self._bounds):
+            raise ValueError(f"{self.name} takes {len(self._bounds)} inputs, got {len(inputs)}")
+        for v, (low, high) in zip(inputs, self._bounds):
+            if not low <= v <= high:
+                raise ValueError(f"input {v} outside [{low}, {high}]")
         rec, _, _ = self.execute(test)
         # Keys in ascending target id (statements, then each site's true and
         # false outcome): Archive.save stamps and HeuristicVector.sum adds in
         # this order.
-        nonzero = {i: 1.0 for i, hit in enumerate(rec.stmt_hits) if hit}
         k = self.statement_count
+        nonzero = dict.fromkeys(compress(range(k), rec.stmt_hits), 1.0)
         for taken, d in zip(rec.taken, rec.dist):
             if taken:
                 nonzero[k] = 1.0

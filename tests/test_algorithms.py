@@ -12,6 +12,7 @@ from suitesearch.algorithms import (
     _fronts,
     _mosa_ranks,
     _mosa_sort,
+    _suite_scores,
     _tournament_min,
     mutate,
     run_mio,
@@ -464,6 +465,37 @@ class TestWtsExecution:
         result = run_wts(problem, Budget(400), random.Random(5))
         assert len(executed) == len(set(executed))
         assert result.evaluations == len(set(executed))
+
+
+@st.composite
+def _row_tables(draw):
+    """A float32 row table of z in [1, 300] columns, which crosses numpy's
+    128-element pairwise-sum block, and 1-50 suites of 1-50 row numbers
+    into it, repeats allowed. Half of the values come from a small pool, so
+    rows tie, and the pool is mostly 1.0."""
+    z = draw(st.integers(1, 300))
+    n = draw(st.integers(1, 80))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.concatenate(([0.0] + [1.0] * 4, gen.random(3), 1.0 / (1.0 + gen.exponential(1e3, 3))))
+    table = np.where(
+        gen.random((n, z)) < 0.5, gen.choice(pool, size=(n, z)), gen.random((n, z))
+    ).astype(np.float32)
+    suites = draw(st.lists(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=50), min_size=1, max_size=50
+    ))
+    return table, suites
+
+
+class TestWtsScores:
+    @settings(max_examples=200, deadline=None)
+    @given(_row_tables())
+    def test_batched_scores_equal_per_suite_scores(self, case):
+        table, suites = case
+        z = table.shape[1]
+        expected = [
+            z - float(np.maximum.reduce([table[r] for r in suite]).sum()) for suite in suites
+        ]
+        assert _suite_scores(table, suites) == expected
 
 
 class TestRandomSearch:

@@ -28,6 +28,9 @@ PLANS = {
     # Rows widened from float32 to float64 (HeuristicVector.dense) change
     # this case's raw.csv, while the seed-11 subject cases stay the same.
     "gammq-seed1": dict(SUBJECT, family="gammq", base_seed=1),
+    # At the table1 budget WTS runs ~210 generations, against 5-13 in the
+    # budget-1500 cases, so this case pins its generation loop.
+    "triangle-5000": dict(SUBJECT, family="triangle", budget=5000),
 }
 
 # case -> (sha256 of raw.csv, sha256 of summary.csv)
@@ -63,6 +66,10 @@ GOLDEN = {
     "triangle": (
         "8da72e3290d1f8e195bfef3eb711e963b55a851f89f4dfaa0db2cc60d620190e",
         "d4e51181a0a992fe0a3c90b016b6e178ee17ee9a055b4ea74c3fb6bb9ab7da0b",
+    ),
+    "triangle-5000": (
+        "a64b277813c3f2dc9eefd1f810c64c97a8be4d1924f798b14c72791f555c2804",
+        "ed832e4bdecb0f2702e622693a642edb667ce1f303fd327dbd719862f67dace3",
     ),
 }
 

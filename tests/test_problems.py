@@ -381,6 +381,27 @@ HEURISTIC_DIGESTS = {
 }
 
 
+def _loop_inputs(name):
+    """Tests that run the subjects' loops long or through their rare exits:
+    expint's series (with its psi loop for n >= 2 at x = 1) and continued
+    fraction over n at x = 1 and 2, and gammq's series and continued
+    fraction around x = a + 1, where both converge slowly for large a."""
+    if name == "expint":
+        return [TestCase(0, (n, x)) for x in (1, 2) for n in range(101)]
+    return [
+        TestCase(0, (a, x))
+        for a in (1, 10, 100, 1000, 10000, 49999)
+        for x in range(a - 2, min(a + 4, 50000) + 1)
+    ]
+
+
+# sha256 over repr(list(h.items())) of every test from _loop_inputs.
+LOOP_DIGESTS = {
+    "expint": "a2594d0d25f71368ba61b8fcdc1a882e7ff3679328f4b95cf4308169fb94756c",
+    "gammq": "d69dd876968ee73255d444b9d1ca6d2b2cb97cfcf58ae3f27a5d6a9a47af7f2f",
+}
+
+
 class TestNumericalSubjects:
     def test_expint_matches_reference_values(self):
         from scipy.special import expn
@@ -459,6 +480,16 @@ class TestNumericalSubjects:
         for t in _pinned_inputs(p):
             sha.update(repr(list(p.evaluate(t).items())).encode())
         assert sha.hexdigest() == HEURISTIC_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", sorted(LOOP_DIGESTS))
+    def test_loop_heuristics_pinned(self, name):
+        # Each loop runs its statement probe once, before its first
+        # iteration; these tests reach every loop, the psi loop included.
+        p = SutProblem(name)
+        sha = hashlib.sha256()
+        for t in _loop_inputs(name):
+            sha.update(repr(list(p.evaluate(t).items())).encode())
+        assert sha.hexdigest() == LOOP_DIGESTS[name]
 
     def test_heuristics_stay_in_unit_interval(self):
         rng = random.Random(9)

@@ -139,6 +139,8 @@ class Budget:
     __slots__ = ("max_evaluations", "used_evaluations")
 
     def __init__(self, max_evaluations: int):
+        if type(max_evaluations) is not int:
+            raise TypeError(f"budget must be an int, got {max_evaluations!r}")
         if max_evaluations < 0:
             raise ValueError("budget must be non-negative")
         self.max_evaluations = max_evaluations

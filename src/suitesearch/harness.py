@@ -28,8 +28,6 @@ from .stats import mann_whitney_u, vargha_delaney_a12
 
 SCHEMA_VERSION = 1
 
-ALGORITHMS = ("mio", "mio-nofds", "mosa", "wts", "random")
-
 DISPLAY_NAMES = {
     "mio": "MIO",
     "mio-nofds": "MIO-NOFDS",
@@ -37,6 +35,8 @@ DISPLAY_NAMES = {
     "wts": "WTS",
     "random": "RAND",
 }
+
+ALGORITHMS = tuple(DISPLAY_NAMES)
 
 # Parameter grids used throughout the figure replications.
 Z_GRID = (1, 2, 3, 4, 5, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100)
@@ -63,8 +63,9 @@ SUMMARY_COLUMNS = (
 class ExperimentPlan:
     """A family of instances crossed with algorithms, seeds and a budget.
 
-    Every value is checked when the plan is built, each instance parameter
-    by :meth:`cell_is_valid`, so a plan that exists can run every cell.
+    Every value's type and range are checked when the plan is built, each
+    instance parameter by :meth:`cell_is_valid`, so a plan that exists can
+    run every cell and writes what it was given.
     """
 
     family: str
@@ -94,12 +95,18 @@ class ExperimentPlan:
             reason = self.cell_is_valid(param)
             if reason is not None:
                 raise ValueError(reason)
+        for name in ("repetitions", "budget", "base_seed", "r"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise TypeError(f"{name} must be an int, got {value!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if self.budget < 0:
             raise ValueError("budget must be >= 0")
         if self.r < 1:
             raise ValueError("r must be >= 1")
+        if not isinstance(self.mio, MioConfig):
+            raise TypeError(f"mio must be a MioConfig, got {self.mio!r}")
 
     def cell_is_valid(self, param) -> str | None:
         """Reason ``param`` cannot be an instance of the plan's family, or
@@ -107,10 +114,10 @@ class ExperimentPlan:
         landscapes need an integer target count >= 1, or an infeasible
         count >= 0."""
         if self.family in SUT_NAMES:
-            if param != 0 or not isinstance(param, int):
+            if type(param) is not int or param != 0:
                 return f"subject {self.family} takes parameter 0 only, got {param!r}"
             return None
-        if not isinstance(param, int):
+        if type(param) is not int:
             return f"parameter {param!r} is not an integer"
         if self.family == INFEASIBLE:
             if param < 0:

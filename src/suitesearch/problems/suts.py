@@ -10,11 +10,12 @@ its predicate was reached but the outcome never taken, where ``d`` is the
 branch distance of that outcome at the latest evaluation of the predicate,
 and 0 when the predicate was never reached.
 
-Probes name their target by an integer slot, resolved by name from the
-declared statement and branch-site tuples once at import: statement ``i``
-is slot ``i`` of the recorder's statement list, and branch site ``j`` owns
-slots ``2j`` (true) and ``2j + 1`` (false). The declared tuples are the one
-source of the target names and their order.
+Probes name their target by an integer slot constant. Each constant
+declares its own target at import, so the order in which a subject's slot
+constants are declared is its target order: statement ``i`` is slot ``i``
+of the recorder's statement list, and branch site ``j`` owns slots ``2j``
+(true) and ``2j + 1`` (false). These declarations are the one source of
+the target names and their order.
 
 A loop's statement probe runs once, before its first iteration: a hit flag
 is all a statement records, and every loop body here runs at least once.
@@ -51,14 +52,25 @@ class BranchSite:
     kappa: float = KAPPA_INT
 
 
-def _stmt(statements: tuple, name: str) -> int:
-    """Slot of a declared statement."""
-    return statements.index(name)
+class _Targets:
+    """One subject's statements and branch sites, in declaration order.
 
+    Each call declares one target and returns its slot.
+    """
 
-def _site(branches: tuple, name: str) -> int:
-    """Slot ``2j`` of declared branch site ``j``; its false outcome is ``2j + 1``."""
-    return 2 * [site.name for site in branches].index(name)
+    def __init__(self):
+        self.statements = ()
+        self.branches = ()
+
+    def stmt(self, name: str) -> int:
+        """Slot ``i`` of new statement ``i``."""
+        self.statements += (name,)
+        return len(self.statements) - 1
+
+    def site(self, name: str, kappa: float = KAPPA_INT) -> int:
+        """Slot ``2j`` of new branch site ``j``; its false outcome is ``2j + 1``."""
+        self.branches += (BranchSite(name, kappa),)
+        return 2 * len(self.branches) - 2
 
 
 class Recorder:
@@ -175,51 +187,27 @@ def _triangle(rec: Recorder, a: int, b: int, c: int) -> int:
     return SCALENE
 
 
-_TRIANGLE_STATEMENTS = (
-    "entry",
-    "ret_nonpositive",
-    "check_sides",
-    "ret_not_triangle",
-    "classify",
-    "ret_equilateral",
-    "ret_isosceles",
-    "ret_scalene",
-)
+_TRIANGLE = _Targets()
+_T_ENTRY = _TRIANGLE.stmt("entry")
+_T_RET_NONPOSITIVE = _TRIANGLE.stmt("ret_nonpositive")
+_T_CHECK_SIDES = _TRIANGLE.stmt("check_sides")
+_T_RET_NOT_TRIANGLE = _TRIANGLE.stmt("ret_not_triangle")
+_T_CLASSIFY = _TRIANGLE.stmt("classify")
+_T_RET_EQUILATERAL = _TRIANGLE.stmt("ret_equilateral")
+_T_RET_ISOSCELES = _TRIANGLE.stmt("ret_isosceles")
+_T_RET_SCALENE = _TRIANGLE.stmt("ret_scalene")
 
-_TRIANGLE_BRANCHES = (
-    BranchSite("a<=0"),
-    BranchSite("b<=0"),
-    BranchSite("c<=0"),
-    BranchSite("a+b<=c"),
-    BranchSite("a+c<=b"),
-    BranchSite("b+c<=a"),
-    BranchSite("a==b"),
-    BranchSite("b==c"),
-    BranchSite("iso_a==b"),
-    BranchSite("iso_b==c"),
-    BranchSite("iso_a==c"),
-)
-
-_T_ENTRY = _stmt(_TRIANGLE_STATEMENTS, "entry")
-_T_RET_NONPOSITIVE = _stmt(_TRIANGLE_STATEMENTS, "ret_nonpositive")
-_T_CHECK_SIDES = _stmt(_TRIANGLE_STATEMENTS, "check_sides")
-_T_RET_NOT_TRIANGLE = _stmt(_TRIANGLE_STATEMENTS, "ret_not_triangle")
-_T_CLASSIFY = _stmt(_TRIANGLE_STATEMENTS, "classify")
-_T_RET_EQUILATERAL = _stmt(_TRIANGLE_STATEMENTS, "ret_equilateral")
-_T_RET_ISOSCELES = _stmt(_TRIANGLE_STATEMENTS, "ret_isosceles")
-_T_RET_SCALENE = _stmt(_TRIANGLE_STATEMENTS, "ret_scalene")
-
-_T_A_LE_0 = _site(_TRIANGLE_BRANCHES, "a<=0")
-_T_B_LE_0 = _site(_TRIANGLE_BRANCHES, "b<=0")
-_T_C_LE_0 = _site(_TRIANGLE_BRANCHES, "c<=0")
-_T_AB_LE_C = _site(_TRIANGLE_BRANCHES, "a+b<=c")
-_T_AC_LE_B = _site(_TRIANGLE_BRANCHES, "a+c<=b")
-_T_BC_LE_A = _site(_TRIANGLE_BRANCHES, "b+c<=a")
-_T_A_EQ_B = _site(_TRIANGLE_BRANCHES, "a==b")
-_T_B_EQ_C = _site(_TRIANGLE_BRANCHES, "b==c")
-_T_ISO_A_EQ_B = _site(_TRIANGLE_BRANCHES, "iso_a==b")
-_T_ISO_B_EQ_C = _site(_TRIANGLE_BRANCHES, "iso_b==c")
-_T_ISO_A_EQ_C = _site(_TRIANGLE_BRANCHES, "iso_a==c")
+_T_A_LE_0 = _TRIANGLE.site("a<=0")
+_T_B_LE_0 = _TRIANGLE.site("b<=0")
+_T_C_LE_0 = _TRIANGLE.site("c<=0")
+_T_AB_LE_C = _TRIANGLE.site("a+b<=c")
+_T_AC_LE_B = _TRIANGLE.site("a+c<=b")
+_T_BC_LE_A = _TRIANGLE.site("b+c<=a")
+_T_A_EQ_B = _TRIANGLE.site("a==b")
+_T_B_EQ_C = _TRIANGLE.site("b==c")
+_T_ISO_A_EQ_B = _TRIANGLE.site("iso_a==b")
+_T_ISO_B_EQ_C = _TRIANGLE.site("iso_b==c")
+_T_ISO_A_EQ_C = _TRIANGLE.site("iso_a==c")
 
 
 def _expint(rec: Recorder, n: int, x: float) -> float:
@@ -294,75 +282,39 @@ def _expint(rec: Recorder, n: int, x: float) -> float:
     return ans
 
 
-_EXPINT_STATEMENTS = (
-    "entry",
-    "raise_bad_args",
-    "direct",
-    "setup",
-    "pole_at_zero",
-    "cf_init",
-    "cf_iter",
-    "cf_return",
-    "raise_cf_fail",
-    "series_init",
-    "series_pole",
-    "series_log",
-    "series_iter",
-    "series_term",
-    "psi_init",
-    "psi_iter",
-    "series_return",
-    "raise_series_fail",
-    "return_direct",
-)
+_EXPINT = _Targets()
+_E_ENTRY = _EXPINT.stmt("entry")
+_E_RAISE_BAD_ARGS = _EXPINT.stmt("raise_bad_args")
+_E_DIRECT = _EXPINT.stmt("direct")
+_E_SETUP = _EXPINT.stmt("setup")
+_E_POLE_AT_ZERO = _EXPINT.stmt("pole_at_zero")
+_E_CF_INIT = _EXPINT.stmt("cf_init")
+_E_CF_ITER = _EXPINT.stmt("cf_iter")
+_E_CF_RETURN = _EXPINT.stmt("cf_return")
+_E_RAISE_CF_FAIL = _EXPINT.stmt("raise_cf_fail")
+_E_SERIES_INIT = _EXPINT.stmt("series_init")
+_E_SERIES_POLE = _EXPINT.stmt("series_pole")
+_E_SERIES_LOG = _EXPINT.stmt("series_log")
+_E_SERIES_ITER = _EXPINT.stmt("series_iter")
+_E_SERIES_TERM = _EXPINT.stmt("series_term")
+_E_PSI_INIT = _EXPINT.stmt("psi_init")
+_E_PSI_ITER = _EXPINT.stmt("psi_iter")
+_E_SERIES_RETURN = _EXPINT.stmt("series_return")
+_E_RAISE_SERIES_FAIL = _EXPINT.stmt("raise_series_fail")
+_E_RETURN_DIRECT = _EXPINT.stmt("return_direct")
 
-_EXPINT_BRANCHES = (
-    BranchSite("n<0"),
-    BranchSite("x<0", KAPPA_REAL),
-    BranchSite("x==0", KAPPA_REAL),
-    BranchSite("arg_n==0"),
-    BranchSite("arg_n==1"),
-    BranchSite("n==0"),
-    BranchSite("inner_x==0", KAPPA_REAL),
-    BranchSite("x>1", KAPPA_REAL),
-    BranchSite("cf_conv", KAPPA_REAL),
-    BranchSite("nm1!=0"),
-    BranchSite("i!=nm1"),
-    BranchSite("series_conv", KAPPA_REAL),
-)
-
-_E_ENTRY = _stmt(_EXPINT_STATEMENTS, "entry")
-_E_RAISE_BAD_ARGS = _stmt(_EXPINT_STATEMENTS, "raise_bad_args")
-_E_DIRECT = _stmt(_EXPINT_STATEMENTS, "direct")
-_E_SETUP = _stmt(_EXPINT_STATEMENTS, "setup")
-_E_POLE_AT_ZERO = _stmt(_EXPINT_STATEMENTS, "pole_at_zero")
-_E_CF_INIT = _stmt(_EXPINT_STATEMENTS, "cf_init")
-_E_CF_ITER = _stmt(_EXPINT_STATEMENTS, "cf_iter")
-_E_CF_RETURN = _stmt(_EXPINT_STATEMENTS, "cf_return")
-_E_RAISE_CF_FAIL = _stmt(_EXPINT_STATEMENTS, "raise_cf_fail")
-_E_SERIES_INIT = _stmt(_EXPINT_STATEMENTS, "series_init")
-_E_SERIES_POLE = _stmt(_EXPINT_STATEMENTS, "series_pole")
-_E_SERIES_LOG = _stmt(_EXPINT_STATEMENTS, "series_log")
-_E_SERIES_ITER = _stmt(_EXPINT_STATEMENTS, "series_iter")
-_E_SERIES_TERM = _stmt(_EXPINT_STATEMENTS, "series_term")
-_E_PSI_INIT = _stmt(_EXPINT_STATEMENTS, "psi_init")
-_E_PSI_ITER = _stmt(_EXPINT_STATEMENTS, "psi_iter")
-_E_SERIES_RETURN = _stmt(_EXPINT_STATEMENTS, "series_return")
-_E_RAISE_SERIES_FAIL = _stmt(_EXPINT_STATEMENTS, "raise_series_fail")
-_E_RETURN_DIRECT = _stmt(_EXPINT_STATEMENTS, "return_direct")
-
-_E_N_LT_0 = _site(_EXPINT_BRANCHES, "n<0")
-_E_X_LT_0 = _site(_EXPINT_BRANCHES, "x<0")
-_E_X_EQ_0 = _site(_EXPINT_BRANCHES, "x==0")
-_E_ARG_N_EQ_0 = _site(_EXPINT_BRANCHES, "arg_n==0")
-_E_ARG_N_EQ_1 = _site(_EXPINT_BRANCHES, "arg_n==1")
-_E_N_EQ_0 = _site(_EXPINT_BRANCHES, "n==0")
-_E_INNER_X_EQ_0 = _site(_EXPINT_BRANCHES, "inner_x==0")
-_E_X_GT_1 = _site(_EXPINT_BRANCHES, "x>1")
-_E_CF_CONV = _site(_EXPINT_BRANCHES, "cf_conv")
-_E_NM1_NE_0 = _site(_EXPINT_BRANCHES, "nm1!=0")
-_E_I_NE_NM1 = _site(_EXPINT_BRANCHES, "i!=nm1")
-_E_SERIES_CONV = _site(_EXPINT_BRANCHES, "series_conv")
+_E_N_LT_0 = _EXPINT.site("n<0")
+_E_X_LT_0 = _EXPINT.site("x<0", KAPPA_REAL)
+_E_X_EQ_0 = _EXPINT.site("x==0", KAPPA_REAL)
+_E_ARG_N_EQ_0 = _EXPINT.site("arg_n==0")
+_E_ARG_N_EQ_1 = _EXPINT.site("arg_n==1")
+_E_N_EQ_0 = _EXPINT.site("n==0")
+_E_INNER_X_EQ_0 = _EXPINT.site("inner_x==0", KAPPA_REAL)
+_E_X_GT_1 = _EXPINT.site("x>1", KAPPA_REAL)
+_E_CF_CONV = _EXPINT.site("cf_conv", KAPPA_REAL)
+_E_NM1_NE_0 = _EXPINT.site("nm1!=0")
+_E_I_NE_NM1 = _EXPINT.site("i!=nm1")
+_E_SERIES_CONV = _EXPINT.site("series_conv", KAPPA_REAL)
 
 
 def _gammln(rec: Recorder, a: float) -> float:
@@ -449,65 +401,34 @@ def _gammq(rec: Recorder, a: float, x: float) -> float:
     return _gcf(rec, a, x)
 
 
-_GAMMQ_STATEMENTS = (
-    "entry",
-    "raise_bad_args",
-    "use_series",
-    "use_cf",
-    "gser_init",
-    "gser_zero",
-    "gser_loop_init",
-    "gser_iter",
-    "gser_return",
-    "raise_gser_fail",
-    "gcf_init",
-    "gcf_iter",
-    "gcf_d_rescue",
-    "gcf_c_rescue",
-    "gcf_return",
-    "raise_gcf_fail",
-    "gammln_init",
-    "gammln_iter",
-)
+_GAMMQ = _Targets()
+_G_ENTRY = _GAMMQ.stmt("entry")
+_G_RAISE_BAD_ARGS = _GAMMQ.stmt("raise_bad_args")
+_G_USE_SERIES = _GAMMQ.stmt("use_series")
+_G_USE_CF = _GAMMQ.stmt("use_cf")
+_G_GSER_INIT = _GAMMQ.stmt("gser_init")
+_G_GSER_ZERO = _GAMMQ.stmt("gser_zero")
+_G_GSER_LOOP_INIT = _GAMMQ.stmt("gser_loop_init")
+_G_GSER_ITER = _GAMMQ.stmt("gser_iter")
+_G_GSER_RETURN = _GAMMQ.stmt("gser_return")
+_G_RAISE_GSER_FAIL = _GAMMQ.stmt("raise_gser_fail")
+_G_GCF_INIT = _GAMMQ.stmt("gcf_init")
+_G_GCF_ITER = _GAMMQ.stmt("gcf_iter")
+_G_GCF_D_RESCUE = _GAMMQ.stmt("gcf_d_rescue")
+_G_GCF_C_RESCUE = _GAMMQ.stmt("gcf_c_rescue")
+_G_GCF_RETURN = _GAMMQ.stmt("gcf_return")
+_G_RAISE_GCF_FAIL = _GAMMQ.stmt("raise_gcf_fail")
+_G_GAMMLN_INIT = _GAMMQ.stmt("gammln_init")
+_G_GAMMLN_ITER = _GAMMQ.stmt("gammln_iter")
 
-_GAMMQ_BRANCHES = (
-    BranchSite("x<0", KAPPA_REAL),
-    BranchSite("a<=0", KAPPA_REAL),
-    BranchSite("x<a+1", KAPPA_REAL),
-    BranchSite("gser_x<=0", KAPPA_REAL),
-    BranchSite("gser_conv", KAPPA_REAL),
-    BranchSite("gcf_d_small", KAPPA_REAL),
-    BranchSite("gcf_c_small", KAPPA_REAL),
-    BranchSite("gcf_conv", KAPPA_REAL),
-)
-
-_G_ENTRY = _stmt(_GAMMQ_STATEMENTS, "entry")
-_G_RAISE_BAD_ARGS = _stmt(_GAMMQ_STATEMENTS, "raise_bad_args")
-_G_USE_SERIES = _stmt(_GAMMQ_STATEMENTS, "use_series")
-_G_USE_CF = _stmt(_GAMMQ_STATEMENTS, "use_cf")
-_G_GSER_INIT = _stmt(_GAMMQ_STATEMENTS, "gser_init")
-_G_GSER_ZERO = _stmt(_GAMMQ_STATEMENTS, "gser_zero")
-_G_GSER_LOOP_INIT = _stmt(_GAMMQ_STATEMENTS, "gser_loop_init")
-_G_GSER_ITER = _stmt(_GAMMQ_STATEMENTS, "gser_iter")
-_G_GSER_RETURN = _stmt(_GAMMQ_STATEMENTS, "gser_return")
-_G_RAISE_GSER_FAIL = _stmt(_GAMMQ_STATEMENTS, "raise_gser_fail")
-_G_GCF_INIT = _stmt(_GAMMQ_STATEMENTS, "gcf_init")
-_G_GCF_ITER = _stmt(_GAMMQ_STATEMENTS, "gcf_iter")
-_G_GCF_D_RESCUE = _stmt(_GAMMQ_STATEMENTS, "gcf_d_rescue")
-_G_GCF_C_RESCUE = _stmt(_GAMMQ_STATEMENTS, "gcf_c_rescue")
-_G_GCF_RETURN = _stmt(_GAMMQ_STATEMENTS, "gcf_return")
-_G_RAISE_GCF_FAIL = _stmt(_GAMMQ_STATEMENTS, "raise_gcf_fail")
-_G_GAMMLN_INIT = _stmt(_GAMMQ_STATEMENTS, "gammln_init")
-_G_GAMMLN_ITER = _stmt(_GAMMQ_STATEMENTS, "gammln_iter")
-
-_G_X_LT_0 = _site(_GAMMQ_BRANCHES, "x<0")
-_G_A_LE_0 = _site(_GAMMQ_BRANCHES, "a<=0")
-_G_X_LT_A1 = _site(_GAMMQ_BRANCHES, "x<a+1")
-_G_GSER_X_LE_0 = _site(_GAMMQ_BRANCHES, "gser_x<=0")
-_G_GSER_CONV = _site(_GAMMQ_BRANCHES, "gser_conv")
-_G_GCF_D_SMALL = _site(_GAMMQ_BRANCHES, "gcf_d_small")
-_G_GCF_C_SMALL = _site(_GAMMQ_BRANCHES, "gcf_c_small")
-_G_GCF_CONV = _site(_GAMMQ_BRANCHES, "gcf_conv")
+_G_X_LT_0 = _GAMMQ.site("x<0", KAPPA_REAL)
+_G_A_LE_0 = _GAMMQ.site("a<=0", KAPPA_REAL)
+_G_X_LT_A1 = _GAMMQ.site("x<a+1", KAPPA_REAL)
+_G_GSER_X_LE_0 = _GAMMQ.site("gser_x<=0", KAPPA_REAL)
+_G_GSER_CONV = _GAMMQ.site("gser_conv", KAPPA_REAL)
+_G_GCF_D_SMALL = _GAMMQ.site("gcf_d_small", KAPPA_REAL)
+_G_GCF_C_SMALL = _GAMMQ.site("gcf_c_small", KAPPA_REAL)
+_G_GCF_CONV = _GAMMQ.site("gcf_conv", KAPPA_REAL)
 
 
 @dataclass(frozen=True)
@@ -522,8 +443,8 @@ class _SutDefinition:
 _DEFINITIONS = {
     "triangle": _SutDefinition(
         _triangle,
-        _TRIANGLE_STATEMENTS,
-        _TRIANGLE_BRANCHES,
+        _TRIANGLE.statements,
+        _TRIANGLE.branches,
         (
             InputSpec(-10000, 10000, integer=True),
             InputSpec(-10000, 10000, integer=True),
@@ -533,8 +454,8 @@ _DEFINITIONS = {
     ),
     "expint": _SutDefinition(
         _expint,
-        _EXPINT_STATEMENTS,
-        _EXPINT_BRANCHES,
+        _EXPINT.statements,
+        _EXPINT.branches,
         (
             InputSpec(-1, 50000, integer=True),
             InputSpec(-1, 50000, integer=True),
@@ -543,8 +464,8 @@ _DEFINITIONS = {
     ),
     "gammq": _SutDefinition(
         _gammq,
-        _GAMMQ_STATEMENTS,
-        _GAMMQ_BRANCHES,
+        _GAMMQ.statements,
+        _GAMMQ.branches,
         (
             InputSpec(-1, 50000, integer=True),
             InputSpec(-1, 50000, integer=True),

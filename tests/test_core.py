@@ -131,6 +131,11 @@ class TestBudget:
         with pytest.raises(ValueError):
             Budget(-1)
 
+    @pytest.mark.parametrize("cap", [10.5, True])
+    def test_non_int_budget_rejected(self, cap):
+        with pytest.raises(TypeError):
+            Budget(cap)
+
 
 class TestTestCase:
     def test_identity_ignores_size(self):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from suitesearch import harness
+from suitesearch.core import ParameterSchedule
 from suitesearch.harness import (
     ExperimentPlan,
     RawRun,
@@ -104,11 +105,33 @@ class TestRunPlan:
             dict(family="triangle", params=(0, -5, "x")),
             dict(family="gammq", params=(1,)),
             dict(family="expint", params=(0.0,)),
+            dict(params=(True,)),
+            dict(family="triangle", params=(False,)),
         ],
     )
     def test_invalid_plan_rejected_at_construction(self, bad):
         with pytest.raises(ValueError):
             small_plan(**bad)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(repetitions=2.5),
+            dict(repetitions=True),
+            dict(budget=10.5),
+            dict(budget=False),
+            dict(r=2.5),
+            dict(base_seed=True),
+            dict(base_seed=1.0),
+            dict(mio=None),
+            dict(mio=ParameterSchedule()),
+        ],
+    )
+    def test_mistyped_plan_rejected_at_construction(self, bad):
+        # Each of these built a plan that later crashed in run_plan or in a
+        # cell, ran a rounded-up budget, or drew other seeds than the int.
+        with pytest.raises(TypeError):
+            small_plan(algorithms=("random",), **bad)
 
     def test_infeasible_family_counts_feasible_separately(self):
         plan = small_plan(family="infeasible", params=(3,), algorithms=("random",))

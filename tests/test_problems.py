@@ -255,8 +255,8 @@ def _probed_names(subject):
 
     Scans suts.py: every ``rec.<probe>(SLOT, ...)`` in the subject's run
     function and the functions it calls must name a module constant
-    assigned ``_stmt(<subject's statements>, name)`` (for ``stmt``) or
-    ``_site(<subject's branches>, name)`` (for a comparison). Returns the
+    assigned ``<subject's builder>.stmt(name)`` (for ``stmt``) or
+    ``<subject's builder>.site(name, ...)`` (for a comparison). Returns the
     (statement names, branch-site names) probed.
     """
     tree = ast.parse(Path(suts.__file__).read_text())
@@ -266,11 +266,12 @@ def _probed_names(subject):
         if (
             isinstance(node, ast.Assign)
             and isinstance(node.value, ast.Call)
-            and isinstance(node.value.func, ast.Name)
-            and node.value.func.id in ("_stmt", "_site")
+            and isinstance(node.value.func, ast.Attribute)
+            and isinstance(node.value.func.value, ast.Name)
+            and node.value.func.attr in ("stmt", "site")
         ):
-            declared, name = node.value.args
-            slots[node.targets[0].id] = (node.value.func.id, declared.id, name.value)
+            func, name = node.value.func, node.value.args[0]
+            slots[node.targets[0].id] = (func.attr, func.value.id, name.value)
     definition = suts._DEFINITIONS[subject]
     statements, sites = set(), set()
     pending, seen = [definition.run.__name__], set()
@@ -294,17 +295,36 @@ def _probed_names(subject):
             probe, slot = func.attr, call.args[0]
             where = f"{fn} line {call.lineno}: rec.{probe}"
             assert isinstance(slot, ast.Name) and slot.id in slots, f"{where}: undeclared slot"
-            kind, declared, name = slots[slot.id]
+            kind, builder, name = slots[slot.id]
+            declared = getattr(suts, builder)
             if probe == "stmt":
-                assert kind == "_stmt", f"{where}: {slot.id} is a branch slot"
-                assert getattr(suts, declared) is definition.statements, f"{where}: {declared}"
+                assert kind == "stmt", f"{where}: {slot.id} is a branch slot"
+                assert declared.statements is definition.statements, f"{where}: {builder}"
                 statements.add(name)
             else:
                 assert probe in COMPARISONS, f"{where}: not a comparison"
-                assert kind == "_site", f"{where}: {slot.id} is a statement slot"
-                assert getattr(suts, declared) is definition.branches, f"{where}: {declared}"
+                assert kind == "site", f"{where}: {slot.id} is a statement slot"
+                assert declared.branches is definition.branches, f"{where}: {builder}"
                 sites.add(name)
     return statements, sites
+
+
+# sha256 over repr(target_names()) and over repr(_kappa) of each subject.
+# Every manifest.txt lists these names, in this order.
+TARGET_DIGESTS = {
+    "expint": (
+        "4e9cfe31450454db0843dfb1cfb27ab911da01d67d07a928ad6d9bbe3361eb07",
+        "eb426e41c04eefe25037ee4ce76bd7186a3fc6d1bc5b551bca915d5fb245270b",
+    ),
+    "gammq": (
+        "f1807acec3fcf4063d2880bbc7e603466db698aa2c3676be6b5a94ea313fdfd3",
+        "12a03344ecd21f767e223e2836154cfdb5ed9f04b62501e4527f5a4997ade035",
+    ),
+    "triangle": (
+        "d91e5392938919c3bfa5eed8251d15e210ed478e1ecbd24b5f65bb1da371c205",
+        "211b0246863c4efc544b0125b95dce7af0842f52a74949cf2ab26e9dfc912892",
+    ),
+}
 
 
 class TestProbeSlots:
@@ -314,6 +334,16 @@ class TestProbeSlots:
         statements, sites = _probed_names(subject)
         assert statements == set(definition.statements)
         assert sites == {site.name for site in definition.branches}
+
+    @pytest.mark.parametrize("subject", sorted(TARGET_DIGESTS))
+    def test_target_names_distinct_and_pinned(self, subject):
+        # A repeated declaration would add a second target of the same name,
+        # which the set comparison above cannot see.
+        p = SutProblem(subject)
+        names = p.target_names()
+        assert len(set(names)) == len(names)
+        digests = tuple(hashlib.sha256(repr(v).encode()).hexdigest() for v in (names, p._kappa))
+        assert digests == TARGET_DIGESTS[subject]
 
 
 class TestTriangle:

@@ -1,7 +1,7 @@
 """Test-suite generation search algorithms and their benchmark problems."""
 
-from .algorithms import MioConfig, run_mio, run_mosa, run_random, run_wts
-from .core import Budget, ParameterSchedule, TestCase
+from .algorithms import run_mio, run_mosa, run_random, run_wts
+from .core import Budget, TestCase
 from .harness import ExperimentPlan, run_plan
 from .problems import ArtificialProblem, SutProblem
 from .stats import mann_whitney_u, vargha_delaney_a12
@@ -12,8 +12,6 @@ __all__ = [
     "ArtificialProblem",
     "Budget",
     "ExperimentPlan",
-    "MioConfig",
-    "ParameterSchedule",
     "SutProblem",
     "TestCase",
     "mann_whitney_u",

@@ -14,8 +14,9 @@ from the search strategy itself:
   fitness summed over every target, suite crossover and elitism.
 * ``run_random``: uniform random sampling.
 
-MOSA and WTS run at one fixed setting each, the module constants below;
-only MIO takes a config.
+Each algorithm runs at one fixed setting, the module constants below; MIO
+alone has a switch, feedback-directed sampling (FDS), which ``mio-nofds``
+turns off.
 
 Every test execution, population initialization and fresh tests in new
 suites included, is one step, ``_Run.evaluate``: spend one unit of budget,
@@ -28,11 +29,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from math import floor
 
 import numpy as np
 
 from .archive import Archive
-from .core import Budget, BudgetExhaustedError, ParameterSchedule, TestCase, randbelow
+from .core import Budget, BudgetExhaustedError, TestCase, randbelow
 
 # Probability of the disruptive mutation that re-randomizes the whole test.
 DISRUPTIVE_MUTATION_P = 0.01
@@ -41,6 +43,15 @@ MAX_STEP_EXPONENT = 10
 # Per-target population capacity used by the algorithms that do not
 # schedule it (MOSA, WTS, random search share the archive machinery).
 FIXED_ARCHIVE_CAPACITY = 10
+# The fixed setting of MIO, the paper's: each (start, end) parameter moves
+# linearly with the elapsed fraction of the budget until the focus point F
+# and keeps its end value after it. F = 0.5; the random-sampling
+# probability Pr goes 0.5 -> 0, the per-target capacity n 10 -> 1 and the
+# mutations per sampled parent m 1 -> 10.
+FOCUS_POINT = 0.5
+RANDOM_SAMPLING_P = (0.5, 0.0)
+MIO_ARCHIVE_CAPACITY = (10, 1)
+MUTATIONS_PER_PARENT = (1, 10)
 # The fixed settings of MOSA and WTS.
 POPULATION_SIZE = 50
 TOURNAMENT_SIZE = 10
@@ -52,18 +63,6 @@ _WTS_INITIAL_ROWS = 256
 # mutate one.
 SUITE_ADD_P = 1.0 / 3.0
 SUITE_REMOVE_P = 1.0 / 3.0
-
-
-@dataclass(frozen=True)
-class MioConfig:
-    """MIO's parameter schedule (validated when it is built) and the FDS switch."""
-
-    schedule: ParameterSchedule = ParameterSchedule()
-    fds_enabled: bool = True
-
-    def __post_init__(self):
-        if not isinstance(self.schedule, ParameterSchedule):
-            raise TypeError(f"schedule must be a ParameterSchedule, got {self.schedule!r}")
 
 
 @dataclass
@@ -146,29 +145,43 @@ class _Run:
 # ---------------------------------------------------------------------------
 
 
-def run_mio(problem, config: MioConfig, budget: Budget, rng) -> SearchResult:
-    schedule = config.schedule
+def _scheduled(param, t: float):
+    """The (start, end) ``param`` at elapsed fraction ``t``."""
+    start, end = param
+    if t >= FOCUS_POINT:
+        return end
+    return start + (end - start) * (t / FOCUS_POINT)
+
+
+def _scheduled_count(param, t: float) -> int:
+    """An integer ``param`` at ``t``, rounded half up. Rounding a value
+    between two integers cannot leave them, so the count stays in range."""
+    return floor(_scheduled(param, t) + 0.5)
+
+
+def run_mio(problem, budget: Budget, rng, fds: bool = True) -> SearchResult:
     run = _Run(problem, budget)
     archive = run.archive
     cap = budget.max_evaluations
-    last_n = schedule.n_start
+    last_n = MIO_ARCHIVE_CAPACITY[0]
 
     while not run.over:
+        # _Run.evaluate refuses an overdraw, so t stays in [0, 1].
         t = budget.used_evaluations / cap
-        if archive.is_empty() or rng.random() < schedule.pr(t):
+        if archive.is_empty() or rng.random() < _scheduled(RANDOM_SAMPLING_P, t):
             current, steps = None, 1
         else:
             # Up to m successive mutate-evaluate-save steps from the sampled
             # parent, hill-climbing total heuristic mass: a mutant no worse
             # than the current test becomes the next parent, so the focused
             # phase behaves like parallel (1+1) EAs.
-            _, current, current_sum = archive.sample_with_target(rng, fds=config.fds_enabled)
-            steps = schedule.m(t)
+            _, current, current_sum = archive.sample_with_target(rng, fds=fds)
+            steps = _scheduled_count(MUTATIONS_PER_PARENT, t)
         for _ in range(steps):
             test = (problem.random_test(rng) if current is None
                     else mutate(current, problem, rng))
             # The capacity at the elapsed fraction this evaluation reaches.
-            n = schedule.n((budget.used_evaluations + 1) / cap)
+            n = _scheduled_count(MIO_ARCHIVE_CAPACITY, (budget.used_evaluations + 1) / cap)
             h = run.evaluate(test, n)
             if n != last_n:
                 archive.shrink_to(n)

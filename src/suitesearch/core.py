@@ -1,16 +1,11 @@
-"""Shared domain types: test cases, heuristic vectors, evaluation budgets and
-the time-linear parameter schedules that drive the exploration/exploitation
-tradeoff, plus the one integer draw every search step uses.
+"""Shared domain types: test cases, heuristic vectors and evaluation
+budgets, plus the one integer draw every search step uses.
 
-Time is measured in fitness evaluations, never wall-clock: the elapsed
-fraction ``t = used / max`` is what every schedule sees, so runs are
+Time is measured in fitness evaluations, never wall-clock, so runs are
 deterministic given a seed.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,61 +140,3 @@ class Budget:
             raise ValueError("budget must be non-negative")
         self.max_evaluations = max_evaluations
         self.used_evaluations = 0
-
-
-def _round_half_away_from_zero(x: float) -> int:
-    return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
-
-
-@dataclass(frozen=True)
-class ParameterSchedule:
-    """Linear interpolation of the search parameters up to the focus point.
-
-    Each parameter moves linearly from its start value to its end value
-    while ``t < focus_fraction`` and stays at the end value afterwards:
-    the random-sampling probability decays, per-target population capacity
-    shrinks, and the mutation count per sampled individual grows. With the
-    degenerate ``focus_fraction = 0`` the end values apply from the very
-    first moment after t = 0.
-    """
-
-    focus_fraction: float = 0.5
-    pr_start: float = 0.5
-    pr_end: float = 0.0
-    n_start: int = 10
-    n_end: int = 1
-    m_start: int = 1
-    m_end: int = 10
-
-    def __post_init__(self):
-        if not 0.0 <= self.focus_fraction <= 1.0:
-            raise ValueError("focus_fraction must be in [0, 1]")
-        for p in (self.pr_start, self.pr_end):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError("sampling probabilities must be in [0, 1]")
-        for v in (self.n_start, self.n_end, self.m_start, self.m_end):
-            if v < 1:
-                raise ValueError("population capacities and mutation counts must be >= 1")
-
-    def _interp(self, start: float, end: float, t: float) -> float:
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"elapsed fraction out of [0, 1]: {t}")
-        if t >= self.focus_fraction:
-            return end if (self.focus_fraction > 0.0 or t > 0.0) else start
-        return start + (end - start) * (t / self.focus_fraction)
-
-    def pr(self, t: float) -> float:
-        return self._interp(self.pr_start, self.pr_end, t)
-
-    def n(self, t: float) -> int:
-        return self._int_value(self.n_start, self.n_end, t)
-
-    def m(self, t: float) -> int:
-        return self._int_value(self.m_start, self.m_end, t)
-
-    def _int_value(self, start: int, end: int, t: float) -> int:
-        """Interpolated value rounded half away from zero, then clamped to
-        the interval spanned by ``start`` and ``end``."""
-        raw = _round_half_away_from_zero(self._interp(start, end, t))
-        lo, hi = min(start, end), max(start, end)
-        return min(max(raw, lo), hi)

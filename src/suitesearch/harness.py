@@ -16,12 +16,12 @@ import hashlib
 import random
 import statistics
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from multiprocessing import get_context
 from pathlib import Path
 from typing import get_type_hints
 
-from .algorithms import MioConfig, run_mio, run_mosa, run_random, run_wts
+from .algorithms import run_mio, run_mosa, run_random, run_wts
 from .core import Budget
 from .problems import ARTIFICIAL_KINDS, INFEASIBLE, SUT_NAMES, ArtificialProblem, SutProblem
 from .stats import mann_whitney_u, vargha_delaney_a12
@@ -75,7 +75,6 @@ class ExperimentPlan:
     budget: int = 1000
     base_seed: int = 1
     r: int = 1000
-    mio: MioConfig = MioConfig()
 
     def __post_init__(self):
         if self.family not in ARTIFICIAL_KINDS and self.family not in SUT_NAMES:
@@ -105,8 +104,6 @@ class ExperimentPlan:
             raise ValueError("budget must be >= 0")
         if self.r < 1:
             raise ValueError("r must be >= 1")
-        if not isinstance(self.mio, MioConfig):
-            raise TypeError(f"mio must be a MioConfig, got {self.mio!r}")
 
     def cell_is_valid(self, param) -> str | None:
         """Reason ``param`` cannot be an instance of the plan's family, or
@@ -181,10 +178,12 @@ def build_problem(family: str, param: int, rng, r: int = 1000):
 
 
 def run_algorithm(name: str, problem, budget: Budget, rng, plan: ExperimentPlan):
+    # No algorithm reads ``plan``; it stays a parameter because the benchmark's
+    # tracer wraps this function with these five positional parameters.
     if name == "mio":
-        return run_mio(problem, plan.mio, budget, rng)
+        return run_mio(problem, budget, rng)
     if name == "mio-nofds":
-        return run_mio(problem, replace(plan.mio, fds_enabled=False), budget, rng)
+        return run_mio(problem, budget, rng, fds=False)
     if name == "mosa":
         return run_mosa(problem, budget, rng)
     if name == "wts":
@@ -378,7 +377,11 @@ def read_raw_csv(path) -> list:
                 # fills a short row's missing fields with None.
                 if None in rec or None in rec.values():
                     raise ValueError(f"expected {len(reader.fieldnames)} fields")
-                rows.append(RawRun(**{name: parse[name](rec[name]) for name in _RAW_FIELDS}))
+                row = RawRun(**{name: parse[name](rec[name]) for name in _RAW_FIELDS})
+                # The summary divides by it.
+                if row.feasible_total < 1:
+                    raise ValueError(f"feasible_total must be >= 1, got {row.feasible_total}")
+                rows.append(row)
             except KeyError as exc:
                 raise ValueError(f"{path}: no column {exc.args[0]!r}") from None
             except ValueError as exc:

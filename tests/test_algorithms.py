@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from suitesearch import algorithms
 from suitesearch.algorithms import (
-    MioConfig,
     _crowding,
     _fronts,
     _mosa_ranks,
@@ -21,11 +20,11 @@ from suitesearch.algorithms import (
     run_wts,
 )
 from suitesearch.archive import Archive
-from suitesearch.core import Budget, ParameterSchedule, TestCase
+from suitesearch.core import Budget, TestCase
 from suitesearch.problems import ArtificialProblem, SutProblem
 
 ALGORITHMS = {
-    "mio": lambda p, b, rng: run_mio(p, MioConfig(), b, rng),
+    "mio": run_mio,
     "mosa": run_mosa,
     "wts": run_wts,
     "random": run_random,
@@ -143,14 +142,6 @@ class TestTournament:
             _tournament_min(random.Random(1), [], 10)
 
 
-class TestConfigValidation:
-    def test_mio_schedule_checked_at_construction(self):
-        with pytest.raises(ValueError):
-            MioConfig(schedule=ParameterSchedule(n_end=0))
-        with pytest.raises(TypeError):
-            MioConfig(schedule={"n_end": 0})
-
-
 def small_problem(seed=1, z=5):
     return ArtificialProblem.random_instance("gradient", random.Random(seed), z=z)
 
@@ -232,20 +223,14 @@ class TestReproducibility:
 
     def test_different_seeds_usually_differ(self):
         problem = small_problem(11, z=8)
-        a = run_mio(problem, MioConfig(), Budget(600), random.Random(1))
-        b = run_mio(problem, MioConfig(), Budget(600), random.Random(2))
+        a = run_mio(problem, Budget(600), random.Random(1))
+        b = run_mio(problem, Budget(600), random.Random(2))
         # Both runs cover all 8 targets with the same suite; they differ in
         # how many evaluations that took.
         assert a.evaluations != b.evaluations
 
 
 class TestMioBehaviour:
-    def test_focused_schedule_degenerates_to_one_plus_one_ea(self):
-        sched = ParameterSchedule(focus_fraction=0.0, n_start=1, n_end=1)
-        for t in (1e-9, 0.1, 0.5, 1.0):
-            assert sched.pr(t) == sched.pr_end
-            assert sched.n(t) == 1
-
     def test_single_smooth_target_almost_always_covered(self):
         # 100 seeded runs on a one-target gradient instance: nearly all cover.
         covered = 0
@@ -253,7 +238,7 @@ class TestMioBehaviour:
             problem = ArtificialProblem.random_instance(
                 "gradient", random.Random(1000 + seed), z=1
             )
-            result = run_mio(problem, MioConfig(), Budget(1000), random.Random(seed))
+            result = run_mio(problem, Budget(1000), random.Random(seed))
             covered += result.covered_count
         assert covered >= 95
 
@@ -261,17 +246,15 @@ class TestMioBehaviour:
         problem = ArtificialProblem.random_instance(
             "infeasible", random.Random(5), infeasible_count=30
         )
-        with_fds = run_mio(problem, MioConfig(), Budget(800), random.Random(3))
-        without = run_mio(
-            problem, MioConfig(fds_enabled=False), Budget(800), random.Random(3)
-        )
+        with_fds = run_mio(problem, Budget(800), random.Random(3))
+        without = run_mio(problem, Budget(800), random.Random(3), fds=False)
         assert (with_fds.covered_targets, with_fds.coverage_sum) != (
             without.covered_targets, without.coverage_sum
         )
 
     def test_suite_contains_only_covering_tests(self):
         problem = small_problem(13, z=6)
-        result = run_mio(problem, MioConfig(), Budget(800), random.Random(5))
+        result = run_mio(problem, Budget(800), random.Random(5))
         assert len(result.suite) <= result.covered_count
         for test in result.suite:
             h = problem.evaluate(test)

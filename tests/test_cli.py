@@ -3,6 +3,7 @@ import csv
 import pytest
 
 from suitesearch.cli import main
+from suitesearch.harness import RAW_COLUMNS
 
 
 def run_cli(*argv):
@@ -204,8 +205,17 @@ class TestStatsCommand:
         assert str(raw) in err and "'covered'" in err
 
     @pytest.mark.parametrize(
-        "edit", [lambda line: line.rsplit(",", 3)[0], lambda line: line + ",7"],
-        ids=["short", "long"],
+        "edit",
+        [
+            lambda line: line.rsplit(",", 3)[0],
+            lambda line: line + ",7",
+            # The summary divides by feasible_total.
+            lambda line: ",".join(
+                "0" if column == "feasible_total" else value
+                for column, value in zip(RAW_COLUMNS, line.split(","))
+            ),
+        ],
+        ids=["short", "long", "zero_feasible_total"],
     )
     def test_bad_row_names_file_and_line(self, edit, tmp_path, capsys):
         raw = self._raw(tmp_path)

@@ -1,87 +1,90 @@
-import math
+import hashlib
 import random
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from suitesearch.algorithms import _Run
-from suitesearch.core import (
-    Budget,
-    BudgetExhaustedError,
-    HeuristicVector,
-    ParameterSchedule,
-    TestCase,
-    randbelow,
+from suitesearch.algorithms import (
+    FOCUS_POINT,
+    MIO_ARCHIVE_CAPACITY,
+    MUTATIONS_PER_PARENT,
+    RANDOM_SAMPLING_P,
+    _Run,
+    _scheduled,
+    _scheduled_count,
 )
+from suitesearch.core import Budget, BudgetExhaustedError, HeuristicVector, TestCase, randbelow
 from suitesearch.problems import ArtificialProblem
 
-DEFAULT = ParameterSchedule()  # F=0.5, Pr 0.5->0, n 10->1, m 1->10
+
+def pr(t):
+    return _scheduled(RANDOM_SAMPLING_P, t)
+
+
+def n(t):
+    return _scheduled_count(MIO_ARCHIVE_CAPACITY, t)
+
+
+def m(t):
+    return _scheduled_count(MUTATIONS_PER_PARENT, t)
+
+
+# sha256 of "<pr(used/cap).hex()> <m(used/cap)> <n((used+1)/cap)>\n" for every
+# used < cap at caps 1-50, 1000 and 5000: the values MIO reads at each
+# evaluation, recorded from the configurable schedule these constants replaced.
+SCHEDULE_DIGEST = "9058f49fa3d735b723aba59c35c81c3c1d6d36fa7b1dd5a9de0eb31c572abb45"
 
 
 class TestScheduleValues:
     def test_pr_decays_to_published_midpoint_value(self):
         # At 30% of the budget with focus at 50%, Pr has moved 0.5 -> 0.2.
-        assert DEFAULT.pr(0.3) == pytest.approx(0.2, abs=1e-12)
+        assert pr(0.3) == pytest.approx(0.2, abs=1e-12)
 
     def test_pr_starts_at_start_value(self):
-        assert DEFAULT.pr(0.0) == 0.5
+        assert pr(0.0) == 0.5
 
     def test_integer_rounding_half_away_from_zero(self):
         # n: 10 + (1 - 10) * 0.5 = 5.5, which rounds away from zero to 6.
-        assert DEFAULT.n(0.25) == 6
+        assert n(0.25) == 6
 
     def test_m_grows_toward_focus(self):
-        assert DEFAULT.m(0.0) == 1
-        assert DEFAULT.m(0.5) == 10
-        assert DEFAULT.m(1.0) == 10
+        assert m(0.0) == 1
+        assert m(0.5) == 10
+        assert m(1.0) == 10
 
-    def test_zero_focus_fraction_switches_immediately(self):
-        sched = ParameterSchedule(focus_fraction=0.0)
-        assert sched.pr(0.0) == 0.5
-        assert sched.pr(1e-9) == 0.0
-        assert sched.n(0.0) == 10
-        assert sched.n(0.5) == 1
-
-    def test_out_of_range_t_rejected(self):
-        with pytest.raises(ValueError):
-            DEFAULT.pr(1.5)
-
-    @given(st.floats(0.01, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
-    def test_linear_before_focus(self, focus, u1, u2):
-        sched = ParameterSchedule(focus_fraction=focus)
-        t1, t2 = sorted((u1 * focus, u2 * focus))
-        t3 = focus
-        v1, v2, v3 = sched.pr(t1), sched.pr(t2), sched.pr(t3)
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_linear_before_focus(self, u1, u2):
+        t1, t2 = sorted((u1 * FOCUS_POINT, u2 * FOCUS_POINT))
+        t3 = FOCUS_POINT
+        v1, v2, v3 = pr(t1), pr(t2), pr(t3)
         # Collinearity of the three points, checked as a cross-difference.
         assert abs((t2 - t1) * (v3 - v1) - (t3 - t1) * (v2 - v1)) < 1e-12
 
-    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
-    def test_constant_after_focus(self, focus, u):
-        sched = ParameterSchedule(focus_fraction=focus)
-        t = focus + (1.0 - focus) * u
-        if t == 0.0:  # the degenerate F=0, t=0 point keeps the start value
-            return
-        assert sched.pr(t) == sched.pr_end
-        assert sched.n(t) == sched.n_end
-        assert sched.m(t) == sched.m_end
+    @given(st.floats(0.0, 1.0))
+    def test_constant_after_focus(self, u):
+        t = FOCUS_POINT + (1.0 - FOCUS_POINT) * u
+        assert pr(t) == RANDOM_SAMPLING_P[1]
+        assert n(t) == MIO_ARCHIVE_CAPACITY[1]
+        assert m(t) == MUTATIONS_PER_PARENT[1]
 
     @given(st.floats(0.0, 1.0))
     def test_pr_stays_a_probability(self, t):
-        assert 0.0 <= DEFAULT.pr(t) <= 1.0
+        assert 0.0 <= pr(t) <= 1.0
 
     @given(st.floats(0.0, 1.0))
     def test_integer_parameters_stay_clamped(self, t):
-        assert 1 <= DEFAULT.n(t) <= 10
-        assert 1 <= DEFAULT.m(t) <= 10
+        # Nothing clamps them: rounding keeps them between start and end.
+        assert 1 <= n(t) <= 10
+        assert 1 <= m(t) <= 10
 
-    def test_invalid_schedule_rejected(self):
-        with pytest.raises(ValueError):
-            ParameterSchedule(focus_fraction=1.5)
-        with pytest.raises(ValueError):
-            ParameterSchedule(pr_start=1.2)
-        with pytest.raises(ValueError):
-            ParameterSchedule(n_start=0)
+    def test_values_at_every_evaluation_pinned(self):
+        digest = hashlib.sha256()
+        for cap in (*range(1, 51), 1000, 5000):
+            for used in range(cap):
+                line = f"{pr(used / cap).hex()} {m(used / cap)} {n((used + 1) / cap)}\n"
+                digest.update(line.encode())
+        assert digest.hexdigest() == SCHEDULE_DIGEST
 
 
 def _step_run(max_evaluations, used=0):

@@ -1,6 +1,6 @@
 """Smoke tests for the code outside the package: the demos and the README's
-quick start run, and the slow scripts at least import names the library
-still provides."""
+quick start run, the slow scripts at least import names the library still
+provides, and the package exports what the README and demos import."""
 
 import ast
 import importlib
@@ -11,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import suitesearch
 
 ROOT = Path(__file__).resolve().parents[1]
 FAST_DEMOS = ("landscape_tour.py", "single_search_run.py", "unit_testing_subjects.py")
@@ -33,9 +35,24 @@ def test_demo_runs(name):
     assert done.returncode == 0, done.stderr
 
 
-def test_readme_quick_start_runs():
+def _readme_python_blocks():
     readme = (ROOT / "README.md").read_text()
-    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.S | re.M)
+    return re.findall(r"^```python\n(.*?)^```", readme, flags=re.S | re.M)
+
+
+def _suitesearch_imports(source):
+    """(module, name) for every name ``source`` imports from suitesearch or
+    one of its submodules."""
+    return [
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "suitesearch"
+        for alias in node.names
+    ]
+
+
+def test_readme_quick_start_runs():
+    blocks = _readme_python_blocks()
     assert len(blocks) == 1
     done = _run_python(["-c", blocks[0]])
     assert done.returncode == 0, done.stderr
@@ -43,12 +60,21 @@ def test_readme_quick_start_runs():
 
 @pytest.mark.parametrize("path", SLOW_SCRIPTS)
 def test_script_imports_resolve(path):
-    tree = ast.parse((ROOT / path).read_text())
-    imported = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "suitesearch":
-            module = importlib.import_module(node.module)
-            for alias in node.names:
-                assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
-                imported.append(alias.name)
+    imported = _suitesearch_imports((ROOT / path).read_text())
+    for module, name in imported:
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
     assert imported
+
+
+def test_exports_are_what_readme_and_demos_import():
+    # The README's promise: the package exports the names its quick start
+    # and the demos import, plus the other three algorithms.
+    sources = _readme_python_blocks() + [p.read_text() for p in (ROOT / "demos").glob("*.py")]
+    imported = {
+        name
+        for source in sources
+        for module, name in _suitesearch_imports(source)
+        if module == "suitesearch"
+    }
+    expected = imported | {"run_mosa", "run_random", "run_wts"}
+    assert sorted(suitesearch.__all__) == sorted(expected)

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from suitesearch import harness
-from suitesearch.core import ParameterSchedule
 from suitesearch.harness import (
     ExperimentPlan,
     RawRun,
@@ -123,8 +122,6 @@ class TestRunPlan:
             dict(r=2.5),
             dict(base_seed=True),
             dict(base_seed=1.0),
-            dict(mio=None),
-            dict(mio=ParameterSchedule()),
         ],
     )
     def test_mistyped_plan_rejected_at_construction(self, bad):

@@ -17,7 +17,7 @@ print(f"triangle: {problem.target_count} targets "
 names = problem.target_names()
 h = problem.evaluate(TestCase(0, (5, 5, 8)))
 for name in ("branch:a==b:true", "branch:b==c:true", "stmt:ret_isosceles"):
-    print(f"  {name:<24} h = {h[names.index(name)]:.3f}")
+    print(f"  {name:<24} h = {h.get(names.index(name), 0.0):.3f}")
 
 print()
 search = run_mio(problem, Budget(5000), random.Random(1))

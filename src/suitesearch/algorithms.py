@@ -93,7 +93,7 @@ def mutate(test: TestCase, problem, rng) -> TestCase:
         step = -step
     new_inputs = list(inputs)
     new_inputs[idx] = problem.input_specs[idx].clamp(inputs[idx] + step)
-    return TestCase(test.id, tuple(new_inputs), test.size)
+    return TestCase(test.id, tuple(new_inputs))
 
 
 class _Run:
@@ -115,7 +115,8 @@ class _Run:
         return self.budget.used_evaluations >= self.budget.max_evaluations
 
     def evaluate(self, test: TestCase, capacity: int):
-        """Spend one evaluation on ``test``, save it at ``capacity``; return its h."""
+        """Spend one evaluation on ``test``, save it at ``capacity``; return its
+        heuristics, ``{target: h}`` over the non-zero targets."""
         budget = self.budget
         used = budget.used_evaluations
         if used >= budget.max_evaluations:
@@ -187,7 +188,7 @@ def run_mio(problem, budget: Budget, rng, fds: bool = True) -> SearchResult:
                 archive.shrink_to(n)
                 last_n = n
             if current is not None:
-                test_sum = h.sum()
+                test_sum = sum(h.values())
                 if test_sum >= current_sum:
                     current, current_sum = test, test_sum
             if run.over:
@@ -212,6 +213,22 @@ def run_random(problem, budget: Budget, rng) -> SearchResult:
 # ---------------------------------------------------------------------------
 
 
+def _dense_row(h: dict, z: int) -> np.ndarray:
+    """The heuristics ``h`` of a problem with ``z`` targets as one float32
+    row, zero where ``h`` has no entry.
+
+    MOSA ranks and WTS scores suites on these rows, and the pinned outputs
+    were produced by float32 comparisons: values closer than float32
+    precision (about 6e-8 relative) tie. Widening the rows to float64
+    breaks such ties differently and changes results (the subject outputs
+    pinned in bench/pins.json no longer match).
+    """
+    row = np.zeros(z, dtype=np.float32)
+    for k, v in h.items():
+        row[k] = v
+    return row
+
+
 def run_mosa(problem, budget: Budget, rng) -> SearchResult:
     run = _Run(problem, budget)
     archive, z = run.archive, run.z
@@ -224,7 +241,7 @@ def run_mosa(problem, budget: Budget, rng) -> SearchResult:
         if run.over:
             return run.finish()
         test = problem.random_test(rng)
-        rows[len(tests)] = run.evaluate(test, FIXED_ARCHIVE_CAPACITY).dense()
+        rows[len(tests)] = _dense_row(run.evaluate(test, FIXED_ARCHIVE_CAPACITY), z)
         tests.append(test)
 
     ranks = _mosa_ranks(rows[:POPULATION_SIZE], _uncovered_ids(archive, z))
@@ -237,7 +254,7 @@ def run_mosa(problem, budget: Budget, rng) -> SearchResult:
                 if len(tests) >= 2 * POPULATION_SIZE or run.over:
                     break
                 child = mutate(child, problem, rng)
-                rows[len(tests)] = run.evaluate(child, FIXED_ARCHIVE_CAPACITY).dense()
+                rows[len(tests)] = _dense_row(run.evaluate(child, FIXED_ARCHIVE_CAPACITY), z)
                 tests.append(child)
         if run.over:
             break  # the run is over, so nothing would read a last ranking
@@ -291,7 +308,7 @@ def _mosa_ranks(rows: np.ndarray, uncovered) -> list:
 
 def _mosa_sort(rows: np.ndarray, uncovered, keep: int):
     """Preference-then-Pareto selection of ``keep`` of the float32 ``rows``
-    (see :meth:`HeuristicVector.dense`).
+    (see :func:`_dense_row`).
 
     Front 0 holds, per uncovered target, every row attaining the best
     non-zero heuristic for it over all rows, ties included. The remainder
@@ -422,7 +439,7 @@ def run_wts(problem, budget: Budget, rng) -> SearchResult:
             row = dense[test] = len(tests)
             if row == len(table):
                 table = np.concatenate((table, np.zeros_like(table)))
-            table[row] = run.evaluate(test, FIXED_ARCHIVE_CAPACITY).dense()
+            table[row] = _dense_row(run.evaluate(test, FIXED_ARCHIVE_CAPACITY), run.z)
             tests.append(test)
         return row
 

@@ -11,16 +11,16 @@ targets of search effort.
 
 from __future__ import annotations
 
-from .core import EmptyArchiveError, HeuristicVector, TestCase, randbelow
+from .core import EmptyArchiveError, TestCase, randbelow
 
 
 class ScoredTest:
     """A stored test with its heuristic for the owning target.
 
     ``coverage_sum`` is the sum of heuristic values over all targets at
-    evaluation time, used as the secondary comparison key when two covering
-    tests have equal size. ``seq`` is a monotonically increasing insertion
-    stamp; older entries lose ties.
+    evaluation time, the comparison key between two covering tests.
+    ``seq`` is a monotonically increasing insertion stamp; older entries
+    lose ties.
     """
 
     __slots__ = ("test", "h", "coverage_sum", "seq")
@@ -32,12 +32,12 @@ class ScoredTest:
         self.seq = seq
 
     def __repr__(self):
-        return f"ScoredTest(h={self.h}, size={self.test.size}, seq={self.seq})"
+        return f"ScoredTest(h={self.h}, seq={self.seq})"
 
 
 def _worst_key(entry: ScoredTest):
-    # Worst first: lowest h, then largest size, then oldest.
-    return (entry.h, -entry.test.size, entry.seq)
+    # Worst first: lowest h, then oldest.
+    return (entry.h, entry.seq)
 
 
 def _worst_index(entries: list) -> int:
@@ -46,10 +46,7 @@ def _worst_index(entries: list) -> int:
     worst = entries[0]
     for i in range(1, len(entries)):
         e = entries[i]
-        if e.h < worst.h or e.h == worst.h and (
-            e.test.size > worst.test.size
-            or e.test.size == worst.test.size and e.seq < worst.seq
-        ):
+        if e.h < worst.h or e.h == worst.h and e.seq < worst.seq:
             worst_i = i
             worst = e
     return worst_i
@@ -78,7 +75,6 @@ class Archive:
     def __init__(self, target_count: int):
         if target_count < 1:
             raise ValueError("archive needs at least one target")
-        self.target_count = target_count
         self.populations = [TargetPopulation() for _ in range(target_count)]
         self._seq = 0
         # Uncovered, non-empty targets, with positions for O(1) swap-removal.
@@ -120,36 +116,29 @@ class Archive:
 
     # -- save -------------------------------------------------------------
 
-    def save(self, test: TestCase, h: HeuristicVector, capacity: int):
+    def save(self, test: TestCase, h: dict, capacity: int):
         """Offer an evaluated test to every population, per the save rules.
 
-        For each target: a zero heuristic is skipped; a covering test (h=1)
-        marks the target covered and shrinks its population to the single
-        best covering test, replacing the incumbent only when strictly
-        shorter or, at equal size, with strictly larger coverage sum; a
-        partial heuristic joins a non-covered population when below
-        ``capacity``, else replaces the worst entry when not worse than it.
+        ``h`` maps each target with a non-zero heuristic to its value, in
+        ascending target order; an absent target scores 0 and is skipped.
+        For each target: a covering test (h=1) marks the target covered and
+        shrinks its population to the single best covering test, replacing
+        the incumbent only with a strictly larger coverage sum; a partial
+        heuristic joins a non-covered population when below ``capacity``,
+        else replaces the worst entry when not worse than it.
 
         The per-target counter resets when the population was empty or when
         the candidate strictly improves on the entry it displaced.
         """
-        if len(h) != self.target_count:
-            raise ValueError(
-                f"heuristic vector has {len(h)} entries for {self.target_count} targets"
-            )
         cov_sum = None
         pops = self.populations
         for k, hk in h.items():
             pop = pops[k]
             if hk >= 1.0:
                 if cov_sum is None:
-                    cov_sum = h.sum()
+                    cov_sum = sum(h.values())
                 if pop.covered:
-                    incumbent = pop.entries[0]
-                    if test.size < incumbent.test.size or (
-                        test.size == incumbent.test.size
-                        and cov_sum > incumbent.coverage_sum
-                    ):
+                    if cov_sum > pop.entries[0].coverage_sum:
                         self._seq += 1
                         pop.entries[0] = ScoredTest(test, hk, cov_sum, self._seq)
                         pop.counter = 0
@@ -168,7 +157,7 @@ class Archive:
                 entries = pop.entries
                 if len(entries) < capacity:
                     if cov_sum is None:
-                        cov_sum = h.sum()
+                        cov_sum = sum(h.values())
                     self._seq += 1
                     if not entries:
                         pop.counter = 0
@@ -180,15 +169,13 @@ class Archive:
                     if worst_i is None:
                         worst_i = pop.worst = _worst_index(entries)
                     worst = entries[worst_i]
-                    if hk > worst.h or (
-                        hk == worst.h and test.size <= worst.test.size
-                    ):
+                    if hk >= worst.h:
                         if cov_sum is None:
-                            cov_sum = h.sum()
+                            cov_sum = sum(h.values())
                         self._seq += 1
                         entries[worst_i] = ScoredTest(test, hk, cov_sum, self._seq)
                         pop.worst = None
-                        if hk > worst.h or test.size < worst.test.size:
+                        if hk > worst.h:
                             pop.counter = 0
 
     # -- sampling ---------------------------------------------------------
@@ -233,7 +220,7 @@ class Archive:
     def shrink_to(self, n: int):
         """Trim every non-covered population to at most ``n`` entries.
 
-        Drops worst entries first (lowest h, then largest size, then oldest).
+        Drops worst entries first (lowest h, then oldest).
         Covered populations hold a single test and are never touched.
         """
         if n < 1:

@@ -1,13 +1,11 @@
-"""Shared domain types: test cases, heuristic vectors and evaluation
-budgets, plus the one integer draw every search step uses.
+"""Shared domain types: test cases and evaluation budgets, plus the one
+integer draw every search step uses.
 
 Time is measured in fitness evaluations, never wall-clock, so runs are
 deterministic given a seed.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -43,25 +41,20 @@ class TestCase:
 
     ``id`` selects which family of targets the test can possibly cover
     (e.g. which function is called); ``inputs`` are the call arguments.
-    ``size`` is the cost measure used to break replacement ties; both the
-    artificial landscapes and the bundled numerical functions use
-    single-call tests of size 1.
+    Every test is a single call, so tests have no length to compare.
 
-    Equality and hashing are structural over ``(id, inputs)`` only, which
-    is also the identity used for suite deduplication.
+    Equality and hashing are structural over ``(id, inputs)``, which is
+    also the identity used for suite deduplication.
     """
 
     __test__ = False  # keep pytest from collecting this as a test container
-    __slots__ = ("id", "inputs", "size")
+    __slots__ = ("id", "inputs")
 
-    def __init__(self, id: int, inputs: tuple, size: int = 1):
+    def __init__(self, id: int, inputs: tuple):
         if id < 0:
             raise ValueError(f"test id must be non-negative, got {id}")
-        if size < 1:
-            raise ValueError(f"test size must be >= 1, got {size}")
         self.id = id
         self.inputs = inputs
-        self.size = size
 
     def __eq__(self, other):
         return (
@@ -74,54 +67,7 @@ class TestCase:
         return hash((self.id, self.inputs))
 
     def __repr__(self):
-        return f"TestCase(id={self.id}, inputs={self.inputs!r}, size={self.size})"
-
-
-class HeuristicVector:
-    """Per-target heuristic values h_k in [0, 1], where 1 means covered.
-
-    Stored sparsely: most tests score 0 on most targets, and a zero entry
-    can never enter the archive, so only the non-zero entries matter.
-    """
-
-    __slots__ = ("length", "nonzero")
-
-    def __init__(self, length: int, nonzero: dict):
-        self.length = length
-        self.nonzero = nonzero
-
-    def __len__(self):
-        return self.length
-
-    def __getitem__(self, k: int) -> float:
-        if not 0 <= k < self.length:
-            raise IndexError(k)
-        return self.nonzero.get(k, 0.0)
-
-    def items(self):
-        """Non-zero (target, value) pairs."""
-        return self.nonzero.items()
-
-    def sum(self) -> float:
-        """Sum of heuristic values over all targets (the coverage sum)."""
-        return sum(self.nonzero.values())
-
-    def dense(self) -> np.ndarray:
-        """All ``length`` values as one float32 row.
-
-        MOSA ranks and WTS scores suites on these rows, and the pinned
-        outputs were produced by float32 comparisons: values closer than
-        float32 precision (about 6e-8 relative) tie. Widening the rows to
-        float64 breaks such ties differently and changes results (the
-        subject outputs pinned in bench/pins.json no longer match).
-        """
-        row = np.zeros(self.length, dtype=np.float32)
-        for k, v in self.nonzero.items():
-            row[k] = v
-        return row
-
-    def __repr__(self):
-        return f"HeuristicVector(length={self.length}, nonzero={self.nonzero!r})"
+        return f"TestCase(id={self.id}, inputs={self.inputs!r})"
 
 
 class Budget:

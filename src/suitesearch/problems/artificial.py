@@ -19,7 +19,7 @@ Distances map to heuristics through ``rho(d) = 1 / (1 + d)``.
 from __future__ import annotations
 
 from .base import InputSpec
-from ..core import HeuristicVector, TestCase, randbelow
+from ..core import TestCase, randbelow
 
 GRADIENT = "gradient"
 PLATEAU = "plateau"
@@ -97,8 +97,9 @@ class ArtificialProblem:
     def random_test(self, rng) -> TestCase:
         return TestCase(randbelow(rng, self.target_count), (randbelow(rng, self.r + 1),))
 
-    def evaluate(self, test: TestCase) -> HeuristicVector:
-        """Heuristic vector of one test: zero everywhere except its own id."""
+    def evaluate(self, test: TestCase) -> dict:
+        """Heuristics of one test, ``{id: h}``: every other target scores 0.
+        Every landscape value is positive, so the entry is always there."""
         k = test.id
         if not 0 <= k < self.target_count:
             raise ValueError(f"test id {k} outside [0, {self.target_count})")
@@ -123,7 +124,7 @@ class ArtificialProblem:
                 g = self.optima[k]
                 d = x - g if x >= g else g - x
                 h = 1.0 / (1.0 + d)
-        return HeuristicVector(self.target_count, {k: h} if h > 0.0 else {})
+        return {k: h}
 
     def manifest(self) -> dict:
         return {

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .base import InputSpec
-from ..core import HeuristicVector, TestCase
+from ..core import TestCase
 
 # Distance offset for strict comparisons: how far past the boundary the
 # left operand must move. Exact for integers, a nominal epsilon for reals.
@@ -525,7 +525,7 @@ class SutProblem:
         except _CAUGHT as fault:
             return rec, None, fault
 
-    def evaluate(self, test: TestCase) -> HeuristicVector:
+    def evaluate(self, test: TestCase) -> dict:
         if test.id != 0:
             raise ValueError("subject tests must have id 0")
         inputs = test.inputs
@@ -536,17 +536,17 @@ class SutProblem:
                 raise ValueError(f"input {v} outside [{low}, {high}]")
         rec, _, _ = self.execute(test)
         # Keys in ascending target id (statements, then each site's true and
-        # false outcome): Archive.save stamps and HeuristicVector.sum adds in
-        # this order.
+        # false outcome): Archive.save stamps and sums the values in this
+        # order.
         k = self.statement_count
-        nonzero = dict.fromkeys(compress(range(k), rec.stmt_hits), 1.0)
+        h = dict.fromkeys(compress(range(k), rec.stmt_hits), 1.0)
         for taken, d in zip(rec.taken, rec.dist):
             if taken:
-                nonzero[k] = 1.0
+                h[k] = 1.0
             elif d is not None:
-                nonzero[k] = 1.0 / (1.0 + d)
+                h[k] = 1.0 / (1.0 + d)
             k += 1
-        return HeuristicVector(self.target_count, nonzero)
+        return h
 
     def manifest(self) -> dict:
         ranges = ",".join(

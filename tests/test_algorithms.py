@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from suitesearch import algorithms
 from suitesearch.algorithms import (
     _crowding,
+    _dense_row,
     _fronts,
     _mosa_ranks,
     _mosa_sort,
@@ -300,6 +301,13 @@ def _reference_crowding(rows, front, dist):
             elif hi > lo:
                 gap = rows[by_value[pos + 1]][j] - rows[by_value[pos - 1]][j]
                 dist[i] += gap / (hi - lo)
+
+
+class TestDenseRow:
+    def test_float32_row_round_trip(self):
+        row = _dense_row({2: 0.25}, 4)
+        assert row.dtype == np.float32
+        assert row.tolist() == [0.0, 0.0, 0.25, 0.0]
 
 
 class TestMosaRanking:

@@ -1,7 +1,6 @@
 import hashlib
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,7 +13,7 @@ from suitesearch.algorithms import (
     _scheduled,
     _scheduled_count,
 )
-from suitesearch.core import Budget, BudgetExhaustedError, HeuristicVector, TestCase, randbelow
+from suitesearch.core import Budget, BudgetExhaustedError, TestCase, randbelow
 from suitesearch.problems import ArtificialProblem
 
 
@@ -141,12 +140,6 @@ class TestBudget:
 
 
 class TestTestCase:
-    def test_identity_ignores_size(self):
-        a = TestCase(3, (7,), size=1)
-        b = TestCase(3, (7,), size=9)
-        assert a == b
-        assert hash(a) == hash(b)
-
     def test_identity_covers_id_and_inputs(self):
         assert TestCase(3, (7,)) != TestCase(4, (7,))
         assert TestCase(3, (7,)) != TestCase(3, (8,))
@@ -154,24 +147,6 @@ class TestTestCase:
     def test_invalid_fields_rejected(self):
         with pytest.raises(ValueError):
             TestCase(-1, (0,))
-        with pytest.raises(ValueError):
-            TestCase(0, (0,), size=0)
-
-
-class TestHeuristicVector:
-    def test_single_and_dense_round_trip(self):
-        h = HeuristicVector(4, {2: 0.25})
-        assert len(h) == 4
-        assert h[2] == 0.25
-        assert h[0] == 0.0
-        assert h.dense().dtype == np.float32
-        assert h.dense().tolist() == [0.0, 0.0, 0.25, 0.0]
-        assert h.sum() == 0.25
-
-    def test_index_bounds(self):
-        h = HeuristicVector(3, {0: 0.5})
-        with pytest.raises(IndexError):
-            h[3]
 
 
 # Range sizes where rejection sampling is most likely to slip: 1 (one bit,

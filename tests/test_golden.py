@@ -25,7 +25,7 @@ PLANS = {
     "expint": SUBJECT,
     "gammq": SUBJECT,
     "triangle": SUBJECT,
-    # Rows widened from float32 to float64 (HeuristicVector.dense) change
+    # Rows widened from float32 to float64 (algorithms._dense_row) change
     # this case's raw.csv, while the seed-11 subject cases stay the same.
     "gammq-seed1": dict(SUBJECT, family="gammq", base_seed=1),
     # At the table1 budget WTS runs ~210 generations, against 5-13 in the

@@ -66,7 +66,7 @@ class ArtificialProblem:
         self.r = r
         self.infeasible_count = infeasible_count if kind == INFEASIBLE else 0
         self.target_count = len(optima) + self.infeasible_count
-        self.input_specs = (InputSpec(0, r, integer=True),)
+        self.input_specs = (InputSpec(0, r),)
         self._plateau_h = rho(0.1 * r)
         self._infeasible_h = rho(1.0)
 
@@ -103,7 +103,10 @@ class ArtificialProblem:
         k = test.id
         if not 0 <= k < self.target_count:
             raise ValueError(f"test id {k} outside [0, {self.target_count})")
-        x = test.inputs[0]
+        try:
+            (x,) = test.inputs
+        except ValueError:
+            raise ValueError(f"landscape tests take 1 input, got {len(test.inputs)}") from None
         if not 0 <= x <= self.r:
             raise ValueError(f"input {x} outside [0, {self.r}]")
         kind = self.kind

@@ -20,11 +20,10 @@ from ..core import randbelow
 
 @dataclass(frozen=True)
 class InputSpec:
-    """Valid range of one numeric input: [low, high], integer or real."""
+    """Valid range of one integer input: every integer in [low, high]."""
 
-    low: float
-    high: float
-    integer: bool
+    low: int
+    high: int
 
     def clamp(self, value):
         if value < self.low:
@@ -33,8 +32,5 @@ class InputSpec:
             return self.high
         return value
 
-    def draw(self, rng):
-        if self.integer:
-            low = int(self.low)
-            return low + randbelow(rng, int(self.high) - low + 1)
-        return rng.uniform(self.low, self.high)
+    def draw(self, rng) -> int:
+        return self.low + randbelow(rng, self.high - self.low + 1)

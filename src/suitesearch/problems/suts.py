@@ -30,7 +30,6 @@ whatever executed before the fault.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import compress
 
 from .base import InputSpec
@@ -46,21 +45,21 @@ class SutFault(Exception):
     """Raised by a subject for invalid arguments or failed convergence."""
 
 
-@dataclass(frozen=True)
-class BranchSite:
-    name: str
-    kappa: float = KAPPA_INT
+class _Subject:
+    """One subject: its run function, its named integer inputs, and its
+    statements and branch sites in declaration order.
 
-
-class _Targets:
-    """One subject's statements and branch sites, in declaration order.
-
-    Each call declares one target and returns its slot.
+    Each ``stmt`` or ``site`` call declares one target and returns its slot.
+    ``kappa`` holds one offset per outcome slot, the site's for both.
     """
 
-    def __init__(self):
+    def __init__(self, run, input_names: tuple, input_specs: tuple):
+        self.run = run
+        self.input_names = input_names
+        self.input_specs = input_specs
         self.statements = ()
         self.branches = ()
+        self.kappa = ()
 
     def stmt(self, name: str) -> int:
         """Slot ``i`` of new statement ``i``."""
@@ -69,8 +68,9 @@ class _Targets:
 
     def site(self, name: str, kappa: float = KAPPA_INT) -> int:
         """Slot ``2j`` of new branch site ``j``; its false outcome is ``2j + 1``."""
-        self.branches += (BranchSite(name, kappa),)
-        return 2 * len(self.branches) - 2
+        self.branches += (name,)
+        self.kappa += (kappa, kappa)
+        return len(self.kappa) - 2
 
 
 class Recorder:
@@ -85,8 +85,9 @@ class Recorder:
     operands, returns the Python comparison, flags the side taken and
     stores the other side's distance, which is positive; the taken side's
     distance is 0 and is not stored. These methods are the one statement
-    of the distance rules. ``kappa[k]`` is the site's offset for strict
-    comparisons, the same for both of its slots.
+    of the distance rules; ``a > b`` is ``lt`` with its operands swapped.
+    ``kappa[k]`` is the site's offset for strict comparisons, the same for
+    both of its slots.
     """
 
     __slots__ = ("stmt_hits", "taken", "dist", "kappa")
@@ -136,15 +137,6 @@ class Recorder:
         self.dist[k] = lhs - rhs
         return False
 
-    def gt(self, k: int, lhs, rhs) -> bool:
-        if lhs > rhs:
-            self.taken[k] = True
-            self.dist[k + 1] = lhs - rhs
-            return True
-        self.taken[k + 1] = True
-        self.dist[k] = rhs - lhs + self.kappa[k]
-        return False
-
 
 # ---------------------------------------------------------------------------
 # Subjects
@@ -187,7 +179,7 @@ def _triangle(rec: Recorder, a: int, b: int, c: int) -> int:
     return SCALENE
 
 
-_TRIANGLE = _Targets()
+_TRIANGLE = _Subject(_triangle, ("a", "b", "c"), (InputSpec(-10000, 10000),) * 3)
 _T_ENTRY = _TRIANGLE.stmt("entry")
 _T_RET_NONPOSITIVE = _TRIANGLE.stmt("ret_nonpositive")
 _T_CHECK_SIDES = _TRIANGLE.stmt("check_sides")
@@ -231,7 +223,7 @@ def _expint(rec: Recorder, n: int, x: float) -> float:
         if rec.eq(_E_INNER_X_EQ_0, x, 0.0):
             rec.stmt(_E_POLE_AT_ZERO)
             ans = 1.0 / nm1
-        elif rec.gt(_E_X_GT_1, x, 1.0):
+        elif rec.lt(_E_X_GT_1, 1.0, x):
             rec.stmt(_E_CF_INIT)
             b = x + n
             c = 1.0 / _FPMIN
@@ -282,7 +274,7 @@ def _expint(rec: Recorder, n: int, x: float) -> float:
     return ans
 
 
-_EXPINT = _Targets()
+_EXPINT = _Subject(_expint, ("n", "x"), (InputSpec(-1, 50000),) * 2)
 _E_ENTRY = _EXPINT.stmt("entry")
 _E_RAISE_BAD_ARGS = _EXPINT.stmt("raise_bad_args")
 _E_DIRECT = _EXPINT.stmt("direct")
@@ -401,7 +393,7 @@ def _gammq(rec: Recorder, a: float, x: float) -> float:
     return _gcf(rec, a, x)
 
 
-_GAMMQ = _Targets()
+_GAMMQ = _Subject(_gammq, ("a", "x"), (InputSpec(-1, 50000),) * 2)
 _G_ENTRY = _GAMMQ.stmt("entry")
 _G_RAISE_BAD_ARGS = _GAMMQ.stmt("raise_bad_args")
 _G_USE_SERIES = _GAMMQ.stmt("use_series")
@@ -431,48 +423,7 @@ _G_GCF_C_SMALL = _GAMMQ.site("gcf_c_small", KAPPA_REAL)
 _G_GCF_CONV = _GAMMQ.site("gcf_conv", KAPPA_REAL)
 
 
-@dataclass(frozen=True)
-class _SutDefinition:
-    run: callable
-    statements: tuple
-    branches: tuple
-    input_specs: tuple
-    input_names: tuple
-
-
-_DEFINITIONS = {
-    "triangle": _SutDefinition(
-        _triangle,
-        _TRIANGLE.statements,
-        _TRIANGLE.branches,
-        (
-            InputSpec(-10000, 10000, integer=True),
-            InputSpec(-10000, 10000, integer=True),
-            InputSpec(-10000, 10000, integer=True),
-        ),
-        ("a", "b", "c"),
-    ),
-    "expint": _SutDefinition(
-        _expint,
-        _EXPINT.statements,
-        _EXPINT.branches,
-        (
-            InputSpec(-1, 50000, integer=True),
-            InputSpec(-1, 50000, integer=True),
-        ),
-        ("n", "x"),
-    ),
-    "gammq": _SutDefinition(
-        _gammq,
-        _GAMMQ.statements,
-        _GAMMQ.branches,
-        (
-            InputSpec(-1, 50000, integer=True),
-            InputSpec(-1, 50000, integer=True),
-        ),
-        ("a", "x"),
-    ),
-}
+_DEFINITIONS = {"triangle": _TRIANGLE, "expint": _EXPINT, "gammq": _GAMMQ}
 
 SUT_NAMES = tuple(sorted(_DEFINITIONS))
 
@@ -495,7 +446,7 @@ class SutProblem:
         d = _DEFINITIONS[name]
         self.name = name
         self._definition = d
-        self._kappa = tuple(site.kappa for site in d.branches for _side in (0, 1))
+        self._kappa = d.kappa
         self.statement_count = len(d.statements)
         self.branch_site_count = len(d.branches)
         self.target_count = self.statement_count + 2 * self.branch_site_count
@@ -505,8 +456,8 @@ class SutProblem:
     def target_names(self) -> list:
         names = [f"stmt:{s}" for s in self._definition.statements]
         for site in self._definition.branches:
-            names.append(f"branch:{site.name}:true")
-            names.append(f"branch:{site.name}:false")
+            names.append(f"branch:{site}:true")
+            names.append(f"branch:{site}:false")
         return names
 
     def feasible_targets(self) -> range:
@@ -550,7 +501,7 @@ class SutProblem:
 
     def manifest(self) -> dict:
         ranges = ",".join(
-            f"{name}:{'int' if spec.integer else 'real'}[{spec.low},{spec.high}]"
+            f"{name}:int[{spec.low},{spec.high}]"
             for name, spec in zip(self._definition.input_names, self.input_specs)
         )
         return {

@@ -16,7 +16,7 @@ import suitesearch
 
 ROOT = Path(__file__).resolve().parents[1]
 FAST_DEMOS = ("landscape_tour.py", "single_search_run.py", "unit_testing_subjects.py")
-SLOW_SCRIPTS = ("demos/algorithm_shootout.py", "calibrate_acceptance.py")
+SLOW_SCRIPTS = ("demos/algorithm_shootout.py",)
 
 
 def _run_python(args):

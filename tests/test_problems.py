@@ -112,6 +112,10 @@ class TestArtificialLandscapes:
             p.evaluate(TestCase(2, (5,)))
         with pytest.raises(ValueError):
             p.evaluate(TestCase(0, (1001,)))
+        with pytest.raises(ValueError, match="1 input, got 0"):
+            p.evaluate(TestCase(0, ()))
+        with pytest.raises(ValueError, match="1 input, got 2"):
+            p.evaluate(TestCase(0, (5, 7)))
 
     def test_construction_validation(self):
         with pytest.raises(ValueError):
@@ -160,25 +164,43 @@ class TestRandomTestGeneration:
         assert all(p.random_test(rng).id == 0 for _ in range(100))
 
     def test_sut_tests_match_declared_ranges(self):
-        for name in ("expint", "gammq", "triangle"):
-            p = SutProblem(name)
-            rng = random.Random(45)
+        # Every family's random tests and their mutants carry one int per
+        # input spec, inside its range; a subject's tests all have id 0.
+        rng = random.Random(45)
+        for p in _every_family(rng):
             for _ in range(200):
                 t = p.random_test(rng)
-                assert t.id == 0
-                assert len(t.inputs) == len(p.input_specs)
-                for v, spec in zip(t.inputs, p.input_specs):
-                    assert spec.low <= v <= spec.high
-                    if spec.integer:
-                        assert isinstance(v, int)
+                for _ in range(5):  # the random test, then a chain of mutants
+                    if isinstance(p, SutProblem):
+                        assert t.id == 0
+                    assert 0 <= t.id < p.target_count
+                    assert len(t.inputs) == len(p.input_specs)
+                    for v, spec in zip(t.inputs, p.input_specs):
+                        assert type(v) is int
+                        assert spec.low <= v <= spec.high
+                    t = mutate(t, p, rng)
 
 
+def _every_family(rng):
+    """One problem per family: the three subjects and a small instance of
+    each landscape kind, drawn from ``rng``."""
+    return [SutProblem(name) for name in SUT_NAMES] + [
+        ArtificialProblem.random_instance(kind, rng, infeasible_count=3)
+        if kind == INFEASIBLE
+        else ArtificialProblem.random_instance(kind, rng, z=5)
+        for kind in ARTIFICIAL_KINDS
+    ]
+
+
+# Each comparison a subject makes -> (its Python operator, the recorder call
+# that probes it). A ``>`` is ``lt`` with its operands swapped, as expint's
+# ``x>1`` site probes it.
 COMPARISONS = {
-    "eq": operator.eq,
-    "ne": operator.ne,
-    "lt": operator.lt,
-    "le": operator.le,
-    "gt": operator.gt,
+    "eq": (operator.eq, Recorder.eq),
+    "ne": (operator.ne, Recorder.ne),
+    "lt": (operator.lt, Recorder.lt),
+    "le": (operator.le, Recorder.le),
+    "gt": (operator.gt, lambda rec, k, lhs, rhs: rec.lt(k, rhs, lhs)),
 }
 
 
@@ -226,9 +248,10 @@ class TestBranchDistances:
         lhs, rhs = operands
         # Site 1 (slots 2 and 3) next to an untouched site 0.
         rec = Recorder(0, (KAPPA_INT, KAPPA_INT, kappa, kappa))
-        outcome = getattr(rec, op)(2, lhs, rhs)
+        python_op, probe = COMPARISONS[op]
+        outcome = probe(rec, 2, lhs, rhs)
         expected, d_true, d_false = _reference_distances(op, lhs, rhs, kappa)
-        assert outcome == COMPARISONS[op](lhs, rhs) == expected
+        assert outcome == python_op(lhs, rhs) == expected
         assert rec.taken == [False, False, outcome, not outcome]
         taken, other = (2, 3) if outcome else (3, 2)
         assert rec.dist[:2] == [None, None] and rec.dist[taken] is None
@@ -257,9 +280,10 @@ def _probed_names(subject):
 
     Scans suts.py: every ``rec.<probe>(SLOT, ...)`` in the subject's run
     function and the functions it calls must name a module constant
-    assigned ``<subject's builder>.stmt(name)`` (for ``stmt``) or
-    ``<subject's builder>.site(name, ...)`` (for a comparison). Returns the
-    (statement names, branch-site names) probed.
+    assigned ``<subject>.stmt(name)`` (for ``stmt``) or
+    ``<subject>.site(name, ...)`` (for a comparison), where ``<subject>`` is
+    the subject's own ``_Subject``. Returns the (statement names, branch-site
+    names) probed.
     """
     tree = ast.parse(Path(suts.__file__).read_text())
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
@@ -275,6 +299,7 @@ def _probed_names(subject):
             func, name = node.value.func, node.value.args[0]
             slots[node.targets[0].id] = (func.attr, func.value.id, name.value)
     definition = suts._DEFINITIONS[subject]
+    recorder_comparisons = {probe for _op, probe in COMPARISONS.values()}
     statements, sites = set(), set()
     pending, seen = [definition.run.__name__], set()
     while pending:
@@ -298,15 +323,15 @@ def _probed_names(subject):
             where = f"{fn} line {call.lineno}: rec.{probe}"
             assert isinstance(slot, ast.Name) and slot.id in slots, f"{where}: undeclared slot"
             kind, builder, name = slots[slot.id]
-            declared = getattr(suts, builder)
+            assert getattr(suts, builder) is definition, f"{where}: {builder}"
             if probe == "stmt":
                 assert kind == "stmt", f"{where}: {slot.id} is a branch slot"
-                assert declared.statements is definition.statements, f"{where}: {builder}"
                 statements.add(name)
             else:
-                assert probe in COMPARISONS, f"{where}: not a comparison"
+                assert getattr(Recorder, probe, None) in recorder_comparisons, (
+                    f"{where}: not a comparison"
+                )
                 assert kind == "site", f"{where}: {slot.id} is a statement slot"
-                assert declared.branches is definition.branches, f"{where}: {builder}"
                 sites.add(name)
     return statements, sites
 
@@ -335,7 +360,7 @@ class TestProbeSlots:
         definition = suts._DEFINITIONS[subject]
         statements, sites = _probed_names(subject)
         assert statements == set(definition.statements)
-        assert sites == {site.name for site in definition.branches}
+        assert sites == set(definition.branches)
 
     @pytest.mark.parametrize("subject", sorted(TARGET_DIGESTS))
     def test_target_names_distinct_and_pinned(self, subject):
@@ -485,7 +510,7 @@ class TestNumericalSubjects:
         p = SutProblem("gammq")
         t = TestCase(0, (2, 1))
         rec, _, _ = p.execute(t)
-        site = {b.name: j for j, b in enumerate(p._definition.branches)}["gser_conv"]
+        site = p._definition.branches.index("gser_conv")
         h = p.evaluate(t)
         k_true = p.statement_count + 2 * site
         assert h[k_true] == 1.0  # converged, so the true outcome was taken
@@ -528,13 +553,7 @@ class TestNumericalSubjects:
         # ascending keys and each value in (0, 1]: the archive never stores
         # a zero only because a zero is never an entry.
         rng = random.Random(9)
-        problems = [SutProblem(name) for name in SUT_NAMES] + [
-            ArtificialProblem.random_instance(kind, rng, infeasible_count=3)
-            if kind == INFEASIBLE
-            else ArtificialProblem.random_instance(kind, rng, z=5)
-            for kind in ARTIFICIAL_KINDS
-        ]
-        for p in problems:
+        for p in _every_family(rng):
             for _ in range(300):
                 test = p.random_test(rng)
                 for _ in range(5):  # the random test, then a chain of mutants

@@ -6,13 +6,13 @@
 
 import random
 
-from suitesearch import ArtificialProblem, Budget, run_mio
+from suitesearch import ArtificialProblem, run_mio
 
 problem = ArtificialProblem.random_instance("plateau", random.Random(11), z=30)
-budget = Budget(1000)
+budget = 1000  # fitness evaluations; the run counts its own
 result = run_mio(problem, budget, random.Random(99))
 
-print(f"plateau instance with z={problem.target_count}, budget {budget.max_evaluations}")
+print(f"plateau instance with z={problem.target_count}, budget {budget}")
 print(f"covered {result.covered_count} targets in {result.evaluations} evaluations")
 print()
 # MIO's schedule is a function of the fraction of the budget spent, so a run
@@ -21,7 +21,7 @@ print()
 # covers. Hence one seeded run per budget.
 print("coverage by budget (budget -> covered targets):")
 for at in (50, 100, 200, 400, 600, 800, 1000):
-    run = run_mio(problem, Budget(at), random.Random(99))
+    run = run_mio(problem, at, random.Random(99))
     print(f"  {at:>5}: {run.covered_count}")
 print()
 print("extracted suite (one best test per covered target, deduplicated):")

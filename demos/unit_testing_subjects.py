@@ -7,7 +7,7 @@
 
 import random
 
-from suitesearch import Budget, SutProblem, TestCase, run_mio, run_random
+from suitesearch import SutProblem, TestCase, run_mio, run_random
 
 problem = SutProblem("triangle")
 print(f"triangle: {problem.target_count} targets "
@@ -20,8 +20,8 @@ for name in ("branch:a==b:true", "branch:b==c:true", "stmt:ret_isosceles"):
     print(f"  {name:<24} h = {h.get(names.index(name), 0.0):.3f}")
 
 print()
-search = run_mio(problem, Budget(5000), random.Random(1))
-sampled = run_random(problem, Budget(5000), random.Random(1))
+search = run_mio(problem, 5000, random.Random(1))
+sampled = run_random(problem, 5000, random.Random(1))
 print(f"archive search covered {search.covered_count}, random sampling {sampled.covered_count}")
 print("suite found by the search:")
 for test in search.suite:

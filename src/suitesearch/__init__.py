@@ -1,7 +1,7 @@
 """Test-suite generation search algorithms and their benchmark problems."""
 
 from .algorithms import run_mio, run_mosa, run_random, run_wts
-from .core import Budget, TestCase
+from .core import TestCase
 from .harness import ExperimentPlan, run_plan
 from .problems import ArtificialProblem, SutProblem
 from .stats import mann_whitney_u, vargha_delaney_a12
@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArtificialProblem",
-    "Budget",
     "ExperimentPlan",
     "SutProblem",
     "TestCase",

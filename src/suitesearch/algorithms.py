@@ -18,11 +18,13 @@ Each algorithm runs at one fixed setting, the module constants below; MIO
 alone has a switch, feedback-directed sampling (FDS), which ``mio-nofds``
 turns off.
 
-Every test execution, population initialization and fresh tests in new
-suites included, is one step, ``_Run.evaluate``: spend one unit of budget,
-run the test, offer it to the archive. A run ends when the budget is spent
-or every target is covered, but WTS still executes the rest of the
-generation it is building after the last target is covered.
+Every algorithm takes its budget as a plain int, the number of evaluations
+the run may make, and the run counts its own. Every test execution,
+population initialization and fresh tests in new suites included, is one
+step, ``_Run.evaluate``: spend one evaluation, run the test, offer it to
+the archive. A run ends when the budget is spent or every target is
+covered, but WTS still executes the rest of the generation it is building
+after the last target is covered.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from math import floor
 import numpy as np
 
 from .archive import Archive
-from .core import Budget, BudgetExhaustedError, TestCase, randbelow
+from .core import BudgetExhaustedError, TestCase, randbelow
 
 # Probability of the disruptive mutation that re-randomizes the whole test.
 DISRUPTIVE_MUTATION_P = 0.01
@@ -97,37 +99,40 @@ def mutate(test: TestCase, problem, rng) -> TestCase:
 
 
 class _Run:
-    """One run's problem, archive and budget, and the evaluation step every
-    algorithm takes; ``over`` is true once the budget is spent or every
-    target is covered. ``problem.evaluate`` and ``archive.save`` are looked
-    up on every call, so wrappers on their classes or instances see each."""
+    """One run's problem, archive and evaluation count, and the evaluation
+    step every algorithm takes; ``used`` of ``cap`` evaluations are spent,
+    and ``over`` is true once all are or every target is covered.
+    ``problem.evaluate`` and ``archive.save`` are looked up on every call, so
+    wrappers on their classes or instances see each."""
 
-    __slots__ = ("problem", "archive", "budget", "z", "over")
+    __slots__ = ("problem", "archive", "cap", "used", "z", "over")
 
-    def __init__(self, problem, budget: Budget):
+    def __init__(self, problem, budget: int):
+        if type(budget) is not int:
+            raise TypeError(f"budget must be an int, got {budget!r}")
+        if budget < 0:
+            raise ValueError("budget must be non-negative")
         self.problem = problem
         self.z = problem.target_count
         self.archive = Archive(self.z)
-        self.budget = budget
+        self.cap = budget
+        self.used = 0
         self.over = self.spent()
 
     def spent(self) -> bool:
-        return self.budget.used_evaluations >= self.budget.max_evaluations
+        return self.used >= self.cap
 
     def evaluate(self, test: TestCase, capacity: int):
         """Spend one evaluation on ``test``, save it at ``capacity``; return its
         heuristics, ``{target: h}`` over the non-zero targets."""
-        budget = self.budget
-        used = budget.used_evaluations
-        if used >= budget.max_evaluations:
-            raise BudgetExhaustedError(
-                f"budget of {budget.max_evaluations} evaluations exhausted"
-            )
-        budget.used_evaluations = used = used + 1
+        used = self.used
+        if used >= self.cap:
+            raise BudgetExhaustedError(f"budget of {self.cap} evaluations exhausted")
+        self.used = used = used + 1
         h = self.problem.evaluate(test)
         archive = self.archive
         archive.save(test, h, capacity)
-        self.over = used >= budget.max_evaluations or archive.covered_count >= self.z
+        self.over = used >= self.cap or archive.covered_count >= self.z
         return h
 
     def finish(self) -> SearchResult:
@@ -137,7 +142,7 @@ class _Run:
             covered_count=archive.covered_count,
             covered_targets=tuple(sorted(archive.covered_targets())),
             coverage_sum=archive.coverage_sum(),
-            evaluations=self.budget.used_evaluations,
+            evaluations=self.used,
         )
 
 
@@ -160,15 +165,15 @@ def _scheduled_count(param, t: float) -> int:
     return floor(_scheduled(param, t) + 0.5)
 
 
-def run_mio(problem, budget: Budget, rng, fds: bool = True) -> SearchResult:
+def run_mio(problem, budget: int, rng, fds: bool = True) -> SearchResult:
     run = _Run(problem, budget)
     archive = run.archive
-    cap = budget.max_evaluations
+    cap = run.cap
     last_n = MIO_ARCHIVE_CAPACITY[0]
 
     while not run.over:
         # _Run.evaluate refuses an overdraw, so t stays in [0, 1].
-        t = budget.used_evaluations / cap
+        t = run.used / cap
         if archive.is_empty() or rng.random() < _scheduled(RANDOM_SAMPLING_P, t):
             current, steps = None, 1
         else:
@@ -182,7 +187,7 @@ def run_mio(problem, budget: Budget, rng, fds: bool = True) -> SearchResult:
             test = (problem.random_test(rng) if current is None
                     else mutate(current, problem, rng))
             # The capacity at the elapsed fraction this evaluation reaches.
-            n = _scheduled_count(MIO_ARCHIVE_CAPACITY, (budget.used_evaluations + 1) / cap)
+            n = _scheduled_count(MIO_ARCHIVE_CAPACITY, (run.used + 1) / cap)
             h = run.evaluate(test, n)
             if n != last_n:
                 archive.shrink_to(n)
@@ -201,7 +206,7 @@ def run_mio(problem, budget: Budget, rng, fds: bool = True) -> SearchResult:
 # ---------------------------------------------------------------------------
 
 
-def run_random(problem, budget: Budget, rng) -> SearchResult:
+def run_random(problem, budget: int, rng) -> SearchResult:
     run = _Run(problem, budget)
     while not run.over:
         run.evaluate(problem.random_test(rng), FIXED_ARCHIVE_CAPACITY)
@@ -229,7 +234,7 @@ def _dense_row(h: dict, z: int) -> np.ndarray:
     return row
 
 
-def run_mosa(problem, budget: Budget, rng) -> SearchResult:
+def run_mosa(problem, budget: int, rng) -> SearchResult:
     run = _Run(problem, budget)
     archive, z = run.archive, run.z
 
@@ -410,7 +415,7 @@ def _crowding(matrix: np.ndarray, rank: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def run_wts(problem, budget: Budget, rng) -> SearchResult:
+def run_wts(problem, budget: int, rng) -> SearchResult:
     """Whole-suite GA.
 
     Every executed test's dense heuristic row is written once into a

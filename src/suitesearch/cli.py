@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 
 from .harness import (
-    ALGORITHMS,
     ExperimentPlan,
     INFEASIBLE_GRID,
     Z_GRID,
@@ -28,7 +27,7 @@ from .harness import (
     sut_plans,
     write_summary,
 )
-from .problems import ARTIFICIAL_KINDS, INFEASIBLE, SUT_NAMES
+from .problems import INFEASIBLE, SUT_NAMES
 
 
 # The keys a ``run --config`` file may set, one per ``run`` flag.
@@ -36,43 +35,52 @@ CONFIG_KEYS = (
     "family", "z_list", "budget", "reps", "seed", "r", "algorithms", "out_dir", "workers",
 )
 
+# The flag that sets each ExperimentPlan field, and run_plan's workers. Their
+# errors start with the field; the CLI reports them against the flag.
+FLAGS = {
+    "family": "--family",
+    "params": "--z-list",
+    "algorithms": "--algorithms",
+    "repetitions": "--reps",
+    "budget": "--budget",
+    "base_seed": "--seed",
+    "r": "--r",
+    "workers": "--workers",
+}
+
 
 class CliError(Exception):
     """A user-facing problem with flags or config values."""
 
 
+def _parse_int(text: str, flag: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise CliError(f"{flag}: {text!r} is not an integer") from None
+
+
 def _parse_int_list(text: str, flag: str) -> tuple:
-    values = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        try:
-            values.append(int(piece))
-        except ValueError:
-            raise CliError(f"{flag}: {piece!r} is not an integer") from None
-    return _distinct(tuple(values), flag)
+    pieces = (piece.strip() for piece in text.split(","))
+    return tuple(_parse_int(piece, flag) for piece in pieces if piece)
 
 
-def _distinct(values: tuple, flag: str) -> tuple:
-    """``values``, unless the list is empty or repeats a value."""
-    if not values:
-        raise CliError(f"{flag}: empty list")
-    for i, value in enumerate(values):
-        if value in values[:i]:
-            raise CliError(f"{flag}: {value!r} given twice")
-    return values
-
-
-def _check_reps_workers(reps: int, workers: int):
-    """The flag checks every plan-running subcommand shares."""
-    if reps < 1:
-        raise CliError("--reps: must be >= 1")
-    if workers < 1:
-        raise CliError("--workers: must be >= 1")
+def _flagged(call, *args, **kwargs):
+    """``call(*args, **kwargs)``, an error of a plan or run value reported
+    against the flag that set the value."""
+    try:
+        return call(*args, **kwargs)
+    except ValueError as exc:
+        field, _, reason = str(exc).partition(": ")
+        if field not in FLAGS:
+            raise
+        raise CliError(f"{FLAGS[field]}: {reason}") from None
 
 
 def _build_run_plan(args) -> tuple:
+    """The plan, output directory and worker count that ``run``'s flags and
+    config file give. ExperimentPlan checks and defaults every plan value
+    neither sets."""
     options = {}
     if args.config:
         try:
@@ -85,77 +93,47 @@ def _build_run_plan(args) -> tuple:
                     f"{args.config}: unknown key {key!r}; pick from {', '.join(CONFIG_KEYS)}"
                 )
 
-    def pick(flag_value, key, default=None):
-        if flag_value is not None:
-            return flag_value
-        return options.get(key, default)
+    def pick(key):
+        """The flag's value for ``key``, else the config file's, else None."""
+        value = getattr(args, key)
+        return options.get(key) if value is None else value
 
-    family = pick(args.family, "family")
+    family = pick("family")
     if family is None:
         raise CliError("--family is required (or 'family' in the config file)")
-    if family not in ARTIFICIAL_KINDS and family not in SUT_NAMES:
-        raise CliError(
-            f"--family: unknown family {family!r}; pick from "
-            f"{', '.join(ARTIFICIAL_KINDS + SUT_NAMES)}"
-        )
-    if family in SUT_NAMES:
-        params = (0,)
-    else:
-        z_text = pick(args.z_list, "z_list")
+    values = {"family": family}
+    # A subject is one instance, the plan's default parameter 0.
+    if family not in SUT_NAMES:
+        z_text = pick("z_list")
         if z_text is None:
-            params = INFEASIBLE_GRID if family == INFEASIBLE else Z_GRID
+            values["params"] = INFEASIBLE_GRID if family == INFEASIBLE else Z_GRID
         else:
-            params = _parse_int_list(str(z_text), "--z-list")
-    algorithms = pick(args.algorithms, "algorithms", "mio,mosa,wts,random")
-    algorithms = _distinct(
-        tuple(a.strip() for a in str(algorithms).split(",") if a.strip()), "--algorithms"
-    )
-    for a in algorithms:
-        if a not in ALGORITHMS:
-            raise CliError(f"--algorithms: unknown algorithm {a!r}; pick from {ALGORITHMS}")
-    try:
-        budget = int(pick(args.budget, "budget", 1000))
-        reps = int(pick(args.reps, "reps", 100))
-        seed = int(pick(args.seed, "seed", 1))
-        r = int(pick(args.r, "r", 1000))
-        workers = int(pick(args.workers, "workers", 1))
-    except ValueError as exc:
-        raise CliError(f"bad numeric option: {exc}") from None
-    if budget < 0:
-        raise CliError("--budget: must be >= 0")
-    if r < 1:
-        raise CliError("--r: must be >= 1")
-    _check_reps_workers(reps, workers)
-    out_dir = pick(args.out_dir, "out_dir", "results")
-    try:
-        plan = ExperimentPlan(
-            family=family,
-            params=params,
-            algorithms=algorithms,
-            repetitions=reps,
-            budget=budget,
-            base_seed=seed,
-            r=r,
-        )
-    except ValueError as exc:
-        # Every other value was checked above as its own flag, so the plan
-        # can only reject a parameter it has no instance for.
-        raise CliError(f"--z-list: {exc}") from None
-    return plan, Path(out_dir), workers
+            values["params"] = _parse_int_list(z_text, "--z-list")
+    names = pick("algorithms")
+    if names is not None:
+        values["algorithms"] = tuple(a.strip() for a in names.split(",") if a.strip())
+    for field in ("repetitions", "budget", "base_seed", "r"):
+        text = pick(FLAGS[field][2:])  # the key is the flag's name
+        if text is not None:
+            values[field] = _parse_int(text, FLAGS[field])
+    workers = pick("workers")
+    workers = 1 if workers is None else _parse_int(workers, "--workers")
+    out_dir = pick("out_dir")
+    plan = _flagged(ExperimentPlan, **values)
+    return plan, Path("results" if out_dir is None else out_dir), workers
 
 
 def _cmd_run(args) -> int:
     plan, out_dir, workers = _build_run_plan(args)
-    result = run_plan(plan, workers=workers)
+    result = _flagged(run_plan, plan, workers=workers)
     paths = emit_csv(result, out_dir)
     print(f"{len(result.rows)} runs -> {paths['raw']} and {paths['summary']}")
     return 0
 
 
 def _replicate(args, make_plans, prefix: str) -> int:
-    _check_reps_workers(args.reps, args.workers)
-    for name, plan in make_plans(args.seed, args.reps).items():
-        result = run_plan(plan, workers=args.workers)
+    for name, plan in _flagged(make_plans, args.seed, args.reps).items():
+        result = _flagged(run_plan, plan, workers=args.workers)
         paths = emit_csv(result, Path(args.out_dir) / f"{prefix}-{name}")
         print(f"{name}: {len(result.rows)} runs -> {paths['summary']}")
     return 0
@@ -183,13 +161,13 @@ def _make_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", help="flat key = value config file")
     run_p.add_argument("--family", help="problem family (landscape kind or subject name)")
     run_p.add_argument("--z-list", dest="z_list", help="comma-separated instance parameters")
-    run_p.add_argument("--budget", type=int, help="fitness evaluations per run")
-    run_p.add_argument("--reps", type=int, help="repetitions per cell")
-    run_p.add_argument("--seed", type=int, help="base seed")
-    run_p.add_argument("--r", type=int, help="input range bound for landscapes")
+    run_p.add_argument("--budget", help="fitness evaluations per run")
+    run_p.add_argument("--reps", help="repetitions per cell")
+    run_p.add_argument("--seed", help="base seed")
+    run_p.add_argument("--r", help="input range bound for landscapes")
     run_p.add_argument("--algorithms", help="comma-separated algorithm names")
     run_p.add_argument("--out-dir", dest="out_dir", help="output directory")
-    run_p.add_argument("--workers", type=int, help="parallel worker processes")
+    run_p.add_argument("--workers", help="parallel worker processes")
     run_p.set_defaults(func=_cmd_run)
 
     fig_p = sub.add_parser("replicate-figures", help="run the four landscape sweeps")

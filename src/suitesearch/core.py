@@ -1,8 +1,9 @@
-"""Shared domain types: test cases and evaluation budgets, plus the one
+"""Shared domain types: test cases and the search errors, plus the one
 integer draw every search step uses.
 
 Time is measured in fitness evaluations, never wall-clock, so runs are
-deterministic given a seed.
+deterministic given a seed. A budget is a plain int, the number of
+evaluations a run may make; each run counts its own.
 """
 
 from __future__ import annotations
@@ -69,20 +70,3 @@ class TestCase:
     def __repr__(self):
         return f"TestCase(id={self.id}, inputs={self.inputs!r})"
 
-
-class Budget:
-    """Evaluation budget: a counter of test executions against a cap.
-
-    One evaluation is one execution of a single test case against all
-    targets. A cap of zero is allowed and means no evaluation may happen.
-    """
-
-    __slots__ = ("max_evaluations", "used_evaluations")
-
-    def __init__(self, max_evaluations: int):
-        if type(max_evaluations) is not int:
-            raise TypeError(f"budget must be an int, got {max_evaluations!r}")
-        if max_evaluations < 0:
-            raise ValueError("budget must be non-negative")
-        self.max_evaluations = max_evaluations
-        self.used_evaluations = 0

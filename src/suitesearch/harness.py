@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import get_type_hints
 
 from .algorithms import run_mio, run_mosa, run_random, run_wts
-from .core import Budget
 from .problems import ARTIFICIAL_KINDS, INFEASIBLE, SUT_NAMES, ArtificialProblem, SutProblem
 from .stats import mann_whitney_u, vargha_delaney_a12
 
@@ -65,7 +64,8 @@ class ExperimentPlan:
 
     Every value's type and range are checked when the plan is built, each
     instance parameter by :meth:`cell_is_valid`, so a plan that exists can
-    run every cell and writes what it was given.
+    run every cell and writes what it was given. Each error message starts
+    with the field at fault, as in ``budget: must be >= 0``.
     """
 
     family: str
@@ -78,32 +78,36 @@ class ExperimentPlan:
 
     def __post_init__(self):
         if self.family not in ARTIFICIAL_KINDS and self.family not in SUT_NAMES:
-            raise ValueError(f"unknown problem family {self.family!r}")
-        if not self.algorithms:
-            raise ValueError("plan needs at least one algorithm")
+            raise ValueError(
+                f"family: unknown family {self.family!r}; pick from "
+                f"{', '.join(ARTIFICIAL_KINDS + SUT_NAMES)}"
+            )
+        for name in ("algorithms", "params"):
+            values = getattr(self, name)
+            if not values:
+                raise ValueError(f"{name}: empty list")
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ValueError(f"{name}: {value!r} given twice")
         for name in self.algorithms:
             if name not in ALGORITHMS:
-                raise ValueError(f"unknown algorithm {name!r}; pick from {ALGORITHMS}")
-        if len(set(self.algorithms)) != len(self.algorithms):
-            raise ValueError("duplicate algorithm in plan")
-        if not self.params:
-            raise ValueError("plan needs at least one parameter")
-        if len(set(self.params)) != len(self.params):
-            raise ValueError("duplicate parameter in plan")
+                raise ValueError(
+                    f"algorithms: unknown algorithm {name!r}; pick from {ALGORITHMS}"
+                )
         for param in self.params:
             reason = self.cell_is_valid(param)
             if reason is not None:
-                raise ValueError(reason)
+                raise ValueError(f"params: {reason}")
         for name in ("repetitions", "budget", "base_seed", "r"):
             value = getattr(self, name)
             if type(value) is not int:
-                raise TypeError(f"{name} must be an int, got {value!r}")
+                raise TypeError(f"{name}: must be an int, got {value!r}")
         if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+            raise ValueError("repetitions: must be >= 1")
         if self.budget < 0:
-            raise ValueError("budget must be >= 0")
+            raise ValueError("budget: must be >= 0")
         if self.r < 1:
-            raise ValueError("r must be >= 1")
+            raise ValueError("r: must be >= 1")
 
     def cell_is_valid(self, param) -> str | None:
         """Reason ``param`` cannot be an instance of the plan's family, or
@@ -177,7 +181,7 @@ def build_problem(family: str, param: int, rng, r: int = 1000):
     return ArtificialProblem.random_instance(family, rng, z=param, r=r)
 
 
-def run_algorithm(name: str, problem, budget: Budget, rng, plan: ExperimentPlan):
+def run_algorithm(name: str, problem, budget: int, rng, plan: ExperimentPlan):
     # No algorithm reads ``plan``; it stays a parameter because the benchmark's
     # tracer wraps this function with these five positional parameters.
     if name == "mio":
@@ -214,9 +218,7 @@ def _run_cell(args):
     for name in plan.algorithms:
         run_seed = derive_seed(instance_seed, name)
         try:
-            result = run_algorithm(
-                name, problem, Budget(plan.budget), random.Random(run_seed), plan
-            )
+            result = run_algorithm(name, problem, plan.budget, random.Random(run_seed), plan)
         except Exception as exc:
             raise RuntimeError(
                 f"cell {cell} algorithm={name} seed={run_seed}: {exc!r}"
@@ -251,6 +253,8 @@ def run_plan(plan: ExperimentPlan, workers: int = 1) -> ExperimentResult:
     The plan checked its parameters when it was built, so every cell runs.
     The outcome is bit-identical for any worker count.
     """
+    if workers < 1:
+        raise ValueError("workers: must be >= 1")
     work = [(plan, param, rep) for param in plan.params for rep in range(plan.repetitions)]
     if workers > 1 and len(work) > 1:
         with get_context("fork").Pool(workers) as pool:

@@ -21,7 +21,7 @@ from suitesearch.algorithms import (
     run_wts,
 )
 from suitesearch.archive import Archive
-from suitesearch.core import Budget, TestCase
+from suitesearch.core import TestCase
 from suitesearch.problems import ArtificialProblem, SutProblem
 
 ALGORITHMS = {
@@ -150,13 +150,13 @@ def small_problem(seed=1, z=5):
 class TestBudgetDiscipline:
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))
     def test_zero_budget_runs_nothing(self, name):
-        result = ALGORITHMS[name](small_problem(), Budget(0), random.Random(1))
+        result = ALGORITHMS[name](small_problem(), 0, random.Random(1))
         assert result.evaluations == 0
         assert result.suite == []
 
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))
     def test_single_evaluation_budget(self, name):
-        result = ALGORITHMS[name](small_problem(), Budget(1), random.Random(1))
+        result = ALGORITHMS[name](small_problem(), 1, random.Random(1))
         assert result.evaluations == 1
 
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))
@@ -183,31 +183,29 @@ class TestBudgetDiscipline:
                 return evaluate(test)
 
             problem.evaluate = counting_evaluate
-            budget = Budget(137)
-            result = ALGORITHMS[name](problem, budget, random.Random(seed))
+            result = ALGORITHMS[name](problem, 137, random.Random(seed))
             assert result.evaluations <= 137
-            assert budget.used_evaluations == result.evaluations
             assert len(calls) == result.evaluations
             assert saved == calls
 
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))
     def test_full_coverage_terminates_early(self, name):
         problem = ArtificialProblem("gradient", (3, 7), r=10)
-        result = ALGORITHMS[name](problem, Budget(5000), random.Random(3))
+        result = ALGORITHMS[name](problem, 5000, random.Random(3))
         assert result.covered_count == 2
         assert result.evaluations < 5000
 
     def test_population_larger_than_budget_still_yields_archive(self):
         # MOSA terminates during initialization but keeps what it saw.
         problem = ArtificialProblem("gradient", (5,), r=10)
-        result = run_mosa(problem, Budget(20), random.Random(0))
+        result = run_mosa(problem, 20, random.Random(0))
         assert result.evaluations == 20 or result.covered_count == 1
 
     def test_wts_at_low_budget_spends_everything_on_initialization(self):
         # Expected first-population cost is 50 * (50/2) = 1250 > 1000.
         problem = small_problem(9, z=20)
         for seed in range(5):
-            result = run_wts(problem, Budget(1000), random.Random(seed))
+            result = run_wts(problem, 1000, random.Random(seed))
             assert result.evaluations == 1000
 
 
@@ -215,8 +213,8 @@ class TestReproducibility:
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))
     def test_same_seed_same_run(self, name):
         problem = small_problem(11, z=8)
-        a = ALGORITHMS[name](problem, Budget(600), random.Random(42))
-        b = ALGORITHMS[name](problem, Budget(600), random.Random(42))
+        a = ALGORITHMS[name](problem, 600, random.Random(42))
+        b = ALGORITHMS[name](problem, 600, random.Random(42))
         assert a.suite == b.suite
         assert a.evaluations == b.evaluations
         assert a.coverage_sum == b.coverage_sum
@@ -224,8 +222,8 @@ class TestReproducibility:
 
     def test_different_seeds_usually_differ(self):
         problem = small_problem(11, z=8)
-        a = run_mio(problem, Budget(600), random.Random(1))
-        b = run_mio(problem, Budget(600), random.Random(2))
+        a = run_mio(problem, 600, random.Random(1))
+        b = run_mio(problem, 600, random.Random(2))
         # Both runs cover all 8 targets with the same suite; they differ in
         # how many evaluations that took.
         assert a.evaluations != b.evaluations
@@ -239,7 +237,7 @@ class TestMioBehaviour:
             problem = ArtificialProblem.random_instance(
                 "gradient", random.Random(1000 + seed), z=1
             )
-            result = run_mio(problem, Budget(1000), random.Random(seed))
+            result = run_mio(problem, 1000, random.Random(seed))
             covered += result.covered_count
         assert covered >= 95
 
@@ -247,15 +245,15 @@ class TestMioBehaviour:
         problem = ArtificialProblem.random_instance(
             "infeasible", random.Random(5), infeasible_count=30
         )
-        with_fds = run_mio(problem, Budget(800), random.Random(3))
-        without = run_mio(problem, Budget(800), random.Random(3), fds=False)
+        with_fds = run_mio(problem, 800, random.Random(3))
+        without = run_mio(problem, 800, random.Random(3), fds=False)
         assert (with_fds.covered_targets, with_fds.coverage_sum) != (
             without.covered_targets, without.coverage_sum
         )
 
     def test_suite_contains_only_covering_tests(self):
         problem = small_problem(13, z=6)
-        result = run_mio(problem, Budget(800), random.Random(5))
+        result = run_mio(problem, 800, random.Random(5))
         assert len(result.suite) <= result.covered_count
         for test in result.suite:
             h = problem.evaluate(test)
@@ -431,7 +429,7 @@ class TestMosaRanking:
         monkeypatch.setattr(algorithms, "_mosa_ranks", checked_ranks)
         monkeypatch.setattr(algorithms, "_mosa_sort", checked_sort)
         problem = small_problem(17, z=10)
-        result = run_mosa(problem, Budget(500), random.Random(11))
+        result = run_mosa(problem, 500, random.Random(11))
         assert result.evaluations == 500 or result.covered_count == 10
         # The initial ranking plus one per generation, most with rows left
         # for the Pareto fronts.
@@ -453,7 +451,7 @@ class TestWtsExecution:
             return evaluate(test)
 
         problem.evaluate = counting_evaluate
-        result = run_wts(problem, Budget(400), random.Random(5))
+        result = run_wts(problem, 400, random.Random(5))
         assert len(executed) == len(set(executed))
         assert result.evaluations == len(set(executed))
 
@@ -499,6 +497,6 @@ class TestRandomSearch:
             problem = ArtificialProblem.random_instance(
                 "gradient", random.Random(20_000 + seed), z=1
             )
-            result = run_random(problem, Budget(1000), random.Random(seed))
+            result = run_random(problem, 1000, random.Random(seed))
             hits += result.covered_count
         assert abs(hits / runs - expected) < 0.05

@@ -59,8 +59,9 @@ class TestRunCommand:
             (("--algorithms", "mio,random,mio"), "--algorithms: 'mio' given twice"),
             (("--z-list", "5,5"), "--z-list: 5 given twice"),
             (("--z-list", "5,05"), "--z-list: 5 given twice"),
+            (("--seed", "1e3"), "--seed: '1e3' is not an integer"),
         ],
-        ids=["empty", "blank", "repeated", "z-repeated", "z-same-int"],
+        ids=["empty", "blank", "repeated", "z-repeated", "z-same-int", "not-int"],
     )
     def test_empty_or_repeated_list_is_a_flag_error(
         self, given, message, source, tmp_path, capsys

@@ -13,7 +13,7 @@ from suitesearch.algorithms import (
     _scheduled,
     _scheduled_count,
 )
-from suitesearch.core import Budget, BudgetExhaustedError, TestCase, randbelow
+from suitesearch.core import BudgetExhaustedError, TestCase, randbelow
 from suitesearch.problems import ArtificialProblem
 
 
@@ -86,28 +86,32 @@ class TestScheduleValues:
         assert digest.hexdigest() == SCHEDULE_DIGEST
 
 
-def _step_run(max_evaluations, used=0):
-    """A run of the evaluation step on a one-target gradient landscape."""
-    budget = Budget(max_evaluations)
-    budget.used_evaluations = used
-    return _Run(ArtificialProblem("gradient", (500,), r=1000), budget)
+def _step_run(cap, used=0):
+    """A run of the evaluation step on a one-target gradient landscape, with
+    ``used`` of its ``cap`` evaluations already spent."""
+    run = _Run(ArtificialProblem("gradient", (500,), r=1000), cap)
+    run.used = used
+    run.over = run.spent()
+    return run
 
 
 MISS = TestCase(0, (0,))  # far from the target at 500, so it never covers it
 
 
 class TestBudget:
+    """The evaluation count each run keeps against its int budget."""
+
     def test_consume_counts_and_reports_remaining(self):
         run = _step_run(1000)
         run.evaluate(MISS, 10)
-        assert run.budget.used_evaluations == 1
+        assert run.used == 1
         assert not run.over
 
     def test_last_evaluation_reports_exhaustion(self):
         run = _step_run(1000, used=999)
         assert not run.over
         run.evaluate(MISS, 10)
-        assert run.budget.used_evaluations == 1000
+        assert run.used == 1000
         assert run.over and run.spent()
 
     def test_overdraw_raises(self):
@@ -115,7 +119,7 @@ class TestBudget:
         with pytest.raises(BudgetExhaustedError):
             run.evaluate(MISS, 10)
         # Refused before anything ran: nothing counted, nothing saved.
-        assert run.budget.used_evaluations == 1000
+        assert run.used == 1000
         assert run.archive.is_empty()
 
     def test_zero_budget(self):
@@ -130,13 +134,13 @@ class TestBudget:
         assert run.over and not run.spent()
 
     def test_negative_budget_rejected(self):
-        with pytest.raises(ValueError):
-            Budget(-1)
+        with pytest.raises(ValueError, match="budget must be non-negative"):
+            _step_run(-1)
 
     @pytest.mark.parametrize("cap", [10.5, True])
     def test_non_int_budget_rejected(self, cap):
-        with pytest.raises(TypeError):
-            Budget(cap)
+        with pytest.raises(TypeError, match="budget must be an int"):
+            _step_run(cap)
 
 
 class TestTestCase:

@@ -53,6 +53,14 @@ class TestRunPlan:
         b = run_plan(small_plan(), workers=2)
         assert a.rows == b.rows
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_one_rejected(self, workers, monkeypatch):
+        ran = []
+        monkeypatch.setattr(harness, "_run_cell", ran.append)
+        with pytest.raises(ValueError, match=r"^workers: must be >= 1$"):
+            run_plan(small_plan(), workers=workers)
+        assert not ran
+
     def test_algorithms_share_problem_instances(self):
         plan = small_plan()
         result = run_plan(plan)
@@ -109,7 +117,9 @@ class TestRunPlan:
         ],
     )
     def test_invalid_plan_rejected_at_construction(self, bad):
-        with pytest.raises(ValueError):
+        # The message names the field at fault, the last one each case sets.
+        *_, field = bad
+        with pytest.raises(ValueError, match=rf"^{field}: "):
             small_plan(**bad)
 
     @pytest.mark.parametrize(
@@ -127,7 +137,8 @@ class TestRunPlan:
     def test_mistyped_plan_rejected_at_construction(self, bad):
         # Each of these built a plan that later crashed in run_plan or in a
         # cell, ran a rounded-up budget, or drew other seeds than the int.
-        with pytest.raises(TypeError):
+        (field,) = bad
+        with pytest.raises(TypeError, match=rf"^{field}: must be an int, got "):
             small_plan(algorithms=("random",), **bad)
 
     def test_infeasible_family_counts_feasible_separately(self):

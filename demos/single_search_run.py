@@ -13,7 +13,7 @@ budget = 1000  # fitness evaluations; the run counts its own
 result = run_mio(problem, budget, random.Random(99))
 
 print(f"plateau instance with z={problem.target_count}, budget {budget}")
-print(f"covered {result.covered_count} targets in {result.evaluations} evaluations")
+print(f"covered {len(result.covered_targets)} targets in {result.evaluations} evaluations")
 print()
 # MIO's schedule is a function of the fraction of the budget spent, so a run
 # with a smaller budget reaches its focused phase sooner: coverage after 200
@@ -22,7 +22,7 @@ print()
 print("coverage by budget (budget -> covered targets):")
 for at in (50, 100, 200, 400, 600, 800, 1000):
     run = run_mio(problem, at, random.Random(99))
-    print(f"  {at:>5}: {run.covered_count}")
+    print(f"  {at:>5}: {len(run.covered_targets)}")
 print()
 print("extracted suite (one best test per covered target, deduplicated):")
 for test in result.suite:

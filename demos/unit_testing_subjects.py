@@ -22,7 +22,8 @@ for name in ("branch:a==b:true", "branch:b==c:true", "stmt:ret_isosceles"):
 print()
 search = run_mio(problem, 5000, random.Random(1))
 sampled = run_random(problem, 5000, random.Random(1))
-print(f"archive search covered {search.covered_count}, random sampling {sampled.covered_count}")
+print(f"archive search covered {len(search.covered_targets)}, "
+      f"random sampling {len(sampled.covered_targets)}")
 print("suite found by the search:")
 for test in search.suite:
     a, b, c = test.inputs

@@ -72,7 +72,6 @@ class SearchResult:
     """Outcome of one run: the extracted suite and coverage bookkeeping."""
 
     suite: list
-    covered_count: int
     covered_targets: tuple
     coverage_sum: float
     evaluations: int
@@ -139,7 +138,6 @@ class _Run:
         archive = self.archive
         return SearchResult(
             suite=archive.extract_suite(),
-            covered_count=archive.covered_count,
             covered_targets=tuple(sorted(archive.covered_targets())),
             coverage_sum=archive.coverage_sum(),
             evaluations=self.used,

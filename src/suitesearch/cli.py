@@ -16,18 +16,14 @@ from pathlib import Path
 
 from .harness import (
     ExperimentPlan,
-    INFEASIBLE_GRID,
-    Z_GRID,
     emit_csv,
     figure_plans,
-    read_config,
     read_raw_csv,
     run_plan,
     summarize_rows,
     sut_plans,
     write_summary,
 )
-from .problems import INFEASIBLE, SUT_NAMES
 
 
 # The keys a ``run --config`` file may set, one per ``run`` flag.
@@ -102,13 +98,9 @@ def _build_run_plan(args) -> tuple:
     if family is None:
         raise CliError("--family is required (or 'family' in the config file)")
     values = {"family": family}
-    # A subject is one instance, the plan's default parameter 0.
-    if family not in SUT_NAMES:
-        z_text = pick("z_list")
-        if z_text is None:
-            values["params"] = INFEASIBLE_GRID if family == INFEASIBLE else Z_GRID
-        else:
-            values["params"] = _parse_int_list(z_text, "--z-list")
+    z_text = pick("z_list")
+    if z_text is not None:
+        values["params"] = _parse_int_list(z_text, "--z-list")
     names = pick("algorithms")
     if names is not None:
         values["algorithms"] = tuple(a.strip() for a in names.split(",") if a.strip())
@@ -132,8 +124,11 @@ def _cmd_run(args) -> int:
 
 
 def _replicate(args, make_plans, prefix: str) -> int:
-    for name, plan in _flagged(make_plans, args.seed, args.reps).items():
-        result = _flagged(run_plan, plan, workers=args.workers)
+    seed = _parse_int(args.seed, "--seed")
+    reps = _parse_int(args.reps, "--reps")
+    workers = _parse_int(args.workers, "--workers")
+    for name, plan in _flagged(make_plans, seed, reps).items():
+        result = _flagged(run_plan, plan, workers=workers)
         paths = emit_csv(result, Path(args.out_dir) / f"{prefix}-{name}")
         print(f"{name}: {len(result.rows)} runs -> {paths['summary']}")
     return 0
@@ -172,16 +167,16 @@ def _make_parser() -> argparse.ArgumentParser:
 
     fig_p = sub.add_parser("replicate-figures", help="run the four landscape sweeps")
     fig_p.add_argument("--out-dir", dest="out_dir", default="figures")
-    fig_p.add_argument("--reps", type=int, default=100)
-    fig_p.add_argument("--seed", type=int, default=1)
-    fig_p.add_argument("--workers", type=int, default=1)
+    fig_p.add_argument("--reps", default="100")
+    fig_p.add_argument("--seed", default="1")
+    fig_p.add_argument("--workers", default="1")
     fig_p.set_defaults(func=lambda args: _replicate(args, figure_plans, "fig"))
 
     tab_p = sub.add_parser("replicate-table1", help="run the three-subject comparison")
     tab_p.add_argument("--out-dir", dest="out_dir", default="table1")
-    tab_p.add_argument("--reps", type=int, default=100)
-    tab_p.add_argument("--seed", type=int, default=1)
-    tab_p.add_argument("--workers", type=int, default=1)
+    tab_p.add_argument("--reps", default="100")
+    tab_p.add_argument("--seed", default="1")
+    tab_p.add_argument("--workers", default="1")
     tab_p.set_defaults(func=lambda args: _replicate(args, sut_plans, "table1"))
 
     st_p = sub.add_parser("stats", help="recompute a summary from a raw.csv")
@@ -202,6 +197,33 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+# ---------------------------------------------------------------------------
+# Flat key = value config files
+# ---------------------------------------------------------------------------
+
+
+def read_config(path) -> dict:
+    """Parse a flat ``key = value`` config file.
+
+    Blank lines and lines starting with ``#`` are ignored; values keep
+    internal whitespace; list values are comma-separated. A key may appear
+    once: a repeated key is rejected like a malformed line.
+    """
+    options = {}
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key, _, value = stripped.partition("=")
+        key = key.strip()
+        if key in options:
+            raise ValueError(f"{path}:{lineno}: key {key!r} given twice")
+        options[key] = value.strip()
+    return options
 
 
 if __name__ == "__main__":

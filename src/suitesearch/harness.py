@@ -12,6 +12,7 @@ change any emitted byte; timestamps live only in the sidecar manifest.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import random
 import statistics
@@ -27,17 +28,18 @@ from .stats import mann_whitney_u, vargha_delaney_a12
 
 SCHEMA_VERSION = 1
 
-DISPLAY_NAMES = {
-    "mio": "MIO",
-    "mio-nofds": "MIO-NOFDS",
-    "mosa": "MOSA",
-    "wts": "WTS",
-    "random": "RAND",
+# Each algorithm's runner and its name in summary.csv's better_than column.
+_ALGORITHMS = {
+    "mio": (run_mio, "MIO"),
+    "mio-nofds": (functools.partial(run_mio, fds=False), "MIO-NOFDS"),
+    "mosa": (run_mosa, "MOSA"),
+    "wts": (run_wts, "WTS"),
+    "random": (run_random, "RAND"),
 }
 
-ALGORITHMS = tuple(DISPLAY_NAMES)
+ALGORITHMS = tuple(_ALGORITHMS)
 
-# Parameter grids used throughout the figure replications.
+# The landscapes' default instance parameters, which ExperimentPlan fills in.
 Z_GRID = (1, 2, 3, 4, 5, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100)
 INFEASIBLE_GRID = (0, 1, 2, 3, 4, 5, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100)
 
@@ -62,14 +64,17 @@ SUMMARY_COLUMNS = (
 class ExperimentPlan:
     """A family of instances crossed with algorithms, seeds and a budget.
 
-    Every value's type and range are checked when the plan is built, each
-    instance parameter by :meth:`cell_is_valid`, so a plan that exists can
-    run every cell and writes what it was given. Each error message starts
-    with the field at fault, as in ``budget: must be >= 0``.
+    ``params`` defaults to the family's grid: ``Z_GRID`` for the gradient,
+    plateau and deceptive landscapes, ``INFEASIBLE_GRID`` for the infeasible
+    one, and ``(0,)`` for a subject. Every value's type and range are checked
+    when the plan is built, each instance parameter by :meth:`cell_is_valid`,
+    so a plan that exists can run every cell and writes what it was given.
+    Each error message starts with the field at fault, as in
+    ``budget: must be >= 0``.
     """
 
     family: str
-    params: tuple = (0,)
+    params: tuple | None = None
     algorithms: tuple = ("mio", "mosa", "wts", "random")
     repetitions: int = 100
     budget: int = 1000
@@ -82,6 +87,12 @@ class ExperimentPlan:
                 f"family: unknown family {self.family!r}; pick from "
                 f"{', '.join(ARTIFICIAL_KINDS + SUT_NAMES)}"
             )
+        if self.params is None:
+            if self.family in SUT_NAMES:
+                grid = (0,)
+            else:
+                grid = INFEASIBLE_GRID if self.family == INFEASIBLE else Z_GRID
+            object.__setattr__(self, "params", grid)
         for name in ("algorithms", "params"):
             values = getattr(self, name)
             if not values:
@@ -184,17 +195,10 @@ def build_problem(family: str, param: int, rng, r: int = 1000):
 def run_algorithm(name: str, problem, budget: int, rng, plan: ExperimentPlan):
     # No algorithm reads ``plan``; it stays a parameter because the benchmark's
     # tracer wraps this function with these five positional parameters.
-    if name == "mio":
-        return run_mio(problem, budget, rng)
-    if name == "mio-nofds":
-        return run_mio(problem, budget, rng, fds=False)
-    if name == "mosa":
-        return run_mosa(problem, budget, rng)
-    if name == "wts":
-        return run_wts(problem, budget, rng)
-    if name == "random":
-        return run_random(problem, budget, rng)
-    raise ValueError(f"unknown algorithm {name!r}")
+    if name not in _ALGORITHMS:
+        raise ValueError(f"unknown algorithm {name!r}")
+    run, _ = _ALGORITHMS[name]
+    return run(problem, budget, rng)
 
 
 def _run_cell(args):
@@ -231,7 +235,7 @@ def _run_cell(args):
                 algorithm=name,
                 rep=rep,
                 seed=run_seed,
-                covered=result.covered_count,
+                covered=len(result.covered_targets),
                 feasible_covered=feasible_covered,
                 feasible_total=feasible_total,
                 target_count=problem.target_count,
@@ -303,7 +307,7 @@ def summarize_rows(rows) -> list:
                     continue
                 effect = vargha_delaney_a12(covered[a], covered[b])
                 if effect > 0.5 and mann_whitney_u(covered[a], covered[b]) < 0.05:
-                    better.append(f"{DISPLAY_NAMES[b]}({effect:.2f})")
+                    better.append(f"{_ALGORITHMS[b][1]}({effect:.2f})")
             frac = [r.feasible_covered / r.feasible_total for r in rows_a]
             out.append(
                 {
@@ -402,54 +406,14 @@ def figure_plans(base_seed: int = 1, repetitions: int = 100) -> dict:
     """The four landscape sweeps: one plan per family, keyed by family."""
     common = dict(repetitions=repetitions, budget=1000, base_seed=base_seed)
     plans = {
-        kind: ExperimentPlan(family=kind, params=Z_GRID, **common)
+        kind: ExperimentPlan(family=kind, **common)
         for kind in ("gradient", "plateau", "deceptive")
     }
-    plans[INFEASIBLE] = ExperimentPlan(
-        family=INFEASIBLE,
-        params=INFEASIBLE_GRID,
-        algorithms=("mio", "mio-nofds", "mosa", "wts", "random"),
-        **common,
-    )
+    plans[INFEASIBLE] = ExperimentPlan(family=INFEASIBLE, algorithms=ALGORITHMS, **common)
     return plans
 
 
 def sut_plans(base_seed: int = 1, repetitions: int = 100) -> dict:
     """Unit-testing comparison on the three subjects at budget 5000."""
-    return {
-        name: ExperimentPlan(
-            family=name,
-            params=(0,),
-            repetitions=repetitions,
-            budget=5000,
-            base_seed=base_seed,
-        )
-        for name in SUT_NAMES
-    }
-
-
-# ---------------------------------------------------------------------------
-# Flat key = value config files
-# ---------------------------------------------------------------------------
-
-
-def read_config(path) -> dict:
-    """Parse a flat ``key = value`` config file.
-
-    Blank lines and lines starting with ``#`` are ignored; values keep
-    internal whitespace; list values are comma-separated. A key may appear
-    once: a repeated key is rejected like a malformed line.
-    """
-    options = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, _, value = stripped.partition("=")
-        key = key.strip()
-        if key in options:
-            raise ValueError(f"{path}:{lineno}: key {key!r} given twice")
-        options[key] = value.strip()
-    return options
+    common = dict(repetitions=repetitions, budget=5000, base_seed=base_seed)
+    return {name: ExperimentPlan(family=name, **common) for name in SUT_NAMES}

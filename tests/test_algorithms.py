@@ -192,14 +192,14 @@ class TestBudgetDiscipline:
     def test_full_coverage_terminates_early(self, name):
         problem = ArtificialProblem("gradient", (3, 7), r=10)
         result = ALGORITHMS[name](problem, 5000, random.Random(3))
-        assert result.covered_count == 2
+        assert len(result.covered_targets) == 2
         assert result.evaluations < 5000
 
     def test_population_larger_than_budget_still_yields_archive(self):
         # MOSA terminates during initialization but keeps what it saw.
         problem = ArtificialProblem("gradient", (5,), r=10)
         result = run_mosa(problem, 20, random.Random(0))
-        assert result.evaluations == 20 or result.covered_count == 1
+        assert result.evaluations == 20 or len(result.covered_targets) == 1
 
     def test_wts_at_low_budget_spends_everything_on_initialization(self):
         # Expected first-population cost is 50 * (50/2) = 1250 > 1000.
@@ -238,7 +238,7 @@ class TestMioBehaviour:
                 "gradient", random.Random(1000 + seed), z=1
             )
             result = run_mio(problem, 1000, random.Random(seed))
-            covered += result.covered_count
+            covered += len(result.covered_targets)
         assert covered >= 95
 
     def test_fds_toggle_changes_sampling(self):
@@ -254,7 +254,7 @@ class TestMioBehaviour:
     def test_suite_contains_only_covering_tests(self):
         problem = small_problem(13, z=6)
         result = run_mio(problem, 800, random.Random(5))
-        assert len(result.suite) <= result.covered_count
+        assert len(result.suite) <= len(result.covered_targets)
         for test in result.suite:
             h = problem.evaluate(test)
             assert any(v == 1.0 for _, v in h.items())
@@ -430,7 +430,7 @@ class TestMosaRanking:
         monkeypatch.setattr(algorithms, "_mosa_sort", checked_sort)
         problem = small_problem(17, z=10)
         result = run_mosa(problem, 500, random.Random(11))
-        assert result.evaluations == 500 or result.covered_count == 10
+        assert result.evaluations == 500 or len(result.covered_targets) == 10
         # The initial ranking plus one per generation, most with rows left
         # for the Pareto fronts.
         assert len(ranked) >= 5 and sum(ranked) >= 5
@@ -498,5 +498,5 @@ class TestRandomSearch:
                 "gradient", random.Random(20_000 + seed), z=1
             )
             result = run_random(problem, 1000, random.Random(seed))
-            hits += result.covered_count
+            hits += len(result.covered_targets)
         assert abs(hits / runs - expected) < 0.05

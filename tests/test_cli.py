@@ -2,7 +2,7 @@ import csv
 
 import pytest
 
-from suitesearch.cli import main
+from suitesearch.cli import main, read_config
 from suitesearch.harness import RAW_COLUMNS
 
 
@@ -104,7 +104,7 @@ class TestRunCommand:
         with (out / "raw.csv").open() as fh:
             assert len(list(csv.DictReader(fh))) == 2
 
-    def test_sut_family_ignores_z_list(self, tmp_path):
+    def test_sut_family_runs_without_z_list(self, tmp_path):
         code = run_cli(
             "run", "--family", "triangle", "--budget", "60", "--reps", "1",
             "--seed", "3", "--algorithms", "random", "--out-dir", str(tmp_path),
@@ -134,8 +134,9 @@ class TestRunCommand:
         [
             ("gradient", "0", "--z-list: target count 0 must be >= 1"),
             ("infeasible", "3,-1", "--z-list: infeasible count -1 is negative"),
+            ("triangle", "5", "--z-list: subject triangle takes parameter 0 only, got 5"),
         ],
-        ids=["gradient", "infeasible"],
+        ids=["gradient", "infeasible", "subject"],
     )
     def test_z_below_family_minimum_is_a_flag_error(self, family, z, message, tmp_path, capsys):
         code = run_cli(
@@ -161,6 +162,33 @@ class TestRunCommand:
         assert code == 2
         assert "--r: must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+class TestConfigFiles:
+    def test_parse_flat_key_values(self, tmp_path):
+        path = tmp_path / "plan.cfg"
+        path.write_text(
+            "# comment line\n"
+            "family = plateau\n"
+            "\n"
+            "z_list = 1,2,3\n"
+            "budget=500\n"
+        )
+        options = read_config(path)
+        assert options == {"family": "plateau", "z_list": "1,2,3", "budget": "500"}
+
+    def test_malformed_line_reports_position(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("family = ok\nnonsense\n")
+        with pytest.raises(ValueError, match="bad.cfg:2"):
+            read_config(path)
+
+    def test_repeated_key_reports_file_line_and_key(self, tmp_path):
+        # The later line would otherwise win without a word.
+        path = tmp_path / "twice.cfg"
+        path.write_text("budget = 10\nreps = 1\nbudget = 20\n")
+        with pytest.raises(ValueError, match="twice.cfg:3: key 'budget' given twice"):
+            read_config(path)
 
 
 class TestStatsCommand:
@@ -240,6 +268,15 @@ class TestReplicationCommands:
         code = run_cli(command, *extra, *flags, "--out-dir", str(tmp_path))
         assert code == 2
         assert flags[0] in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["run", "replicate-figures", "replicate-table1"])
+    @pytest.mark.parametrize("flag", ["--reps", "--seed", "--workers"])
+    def test_integer_flags_share_one_rule(self, command, flag, tmp_path, capsys):
+        extra = ("--family", "triangle", "--budget", "10") if command == "run" else ()
+        code = run_cli(command, *extra, flag, "1e3", "--out-dir", str(tmp_path))
+        assert code == 2
+        assert f"{flag}: '1e3' is not an integer" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     def test_replicate_figures_tiny(self, tmp_path):

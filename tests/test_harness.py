@@ -4,17 +4,21 @@ import pytest
 
 from suitesearch import harness
 from suitesearch.harness import (
+    INFEASIBLE_GRID,
+    Z_GRID,
     ExperimentPlan,
     RawRun,
     build_problem,
     derive_seed,
     emit_csv,
-    read_config,
+    figure_plans,
     read_raw_csv,
     run_plan,
     summarize_rows,
+    sut_plans,
     write_summary,
 )
+from suitesearch.problems import ARTIFICIAL_KINDS, SUT_NAMES
 
 SMALL = dict(repetitions=3, budget=60, base_seed=7)
 
@@ -141,6 +145,18 @@ class TestRunPlan:
         with pytest.raises(TypeError, match=rf"^{field}: must be an int, got "):
             small_plan(algorithms=("random",), **bad)
 
+    @pytest.mark.parametrize("family", ARTIFICIAL_KINDS + SUT_NAMES)
+    def test_params_default_to_the_family_grid(self, family):
+        # The plan alone states each family's grid; the built-in plans leave
+        # params out and get the same values.
+        if family in SUT_NAMES:
+            grid = (0,)
+        else:
+            grid = INFEASIBLE_GRID if family == "infeasible" else Z_GRID
+        assert ExperimentPlan(family=family).params == grid
+        built_in = {**figure_plans(), **sut_plans()}
+        assert built_in[family].params == grid
+
     def test_infeasible_family_counts_feasible_separately(self):
         plan = small_plan(family="infeasible", params=(3,), algorithms=("random",))
         result = run_plan(plan)
@@ -248,30 +264,3 @@ class TestSummaries:
         summary = summarize_rows(rows)
         by_algo = {row["algorithm"]: row for row in summary}
         assert by_algo["mio"]["better_than"] == ""
-
-
-class TestConfigFiles:
-    def test_parse_flat_key_values(self, tmp_path):
-        path = tmp_path / "plan.cfg"
-        path.write_text(
-            "# comment line\n"
-            "family = plateau\n"
-            "\n"
-            "z_list = 1,2,3\n"
-            "budget=500\n"
-        )
-        options = read_config(path)
-        assert options == {"family": "plateau", "z_list": "1,2,3", "budget": "500"}
-
-    def test_malformed_line_reports_position(self, tmp_path):
-        path = tmp_path / "bad.cfg"
-        path.write_text("family = ok\nnonsense\n")
-        with pytest.raises(ValueError, match="bad.cfg:2"):
-            read_config(path)
-
-    def test_repeated_key_reports_file_line_and_key(self, tmp_path):
-        # The later line would otherwise win without a word.
-        path = tmp_path / "twice.cfg"
-        path.write_text("budget = 10\nreps = 1\nbudget = 20\n")
-        with pytest.raises(ValueError, match="twice.cfg:3: key 'budget' given twice"):
-            read_config(path)

@@ -179,7 +179,7 @@ def run_mio(problem, budget: int, rng, fds: bool = True) -> SearchResult:
             # parent, hill-climbing total heuristic mass: a mutant no worse
             # than the current test becomes the next parent, so the focused
             # phase behaves like parallel (1+1) EAs.
-            _, current, current_sum = archive.sample_with_target(rng, fds=fds)
+            current, current_sum = archive.sample_with_target(rng, fds=fds)
             steps = _scheduled_count(MUTATIONS_PER_PARENT, t)
         for _ in range(steps):
             test = (problem.random_test(rng) if current is None

@@ -187,7 +187,7 @@ class Archive:
         feedback-directed sampling, uniform otherwise), then a uniformly
         random test from its population. When only covered populations
         remain, picks uniformly among those without touching any counter.
-        Returns (target id, test, coverage sum of the test).
+        Returns (test, coverage sum of the test).
         """
         eligible = self._eligible
         if not eligible:
@@ -195,7 +195,7 @@ class Archive:
                 raise EmptyArchiveError("no tests stored in any population")
             k = self._covered_ids[randbelow(rng, len(self._covered_ids))]
             entry = self.populations[k].entries[0]
-            return k, entry.test, entry.coverage_sum
+            return entry.test, entry.coverage_sum
         if fds:
             pops = self.populations
             best_c = None
@@ -213,7 +213,7 @@ class Archive:
             k = eligible[randbelow(rng, len(eligible))]
         entries = self.populations[k].entries
         entry = entries[randbelow(rng, len(entries))]
-        return k, entry.test, entry.coverage_sum
+        return entry.test, entry.coverage_sum
 
     # -- maintenance ------------------------------------------------------
 

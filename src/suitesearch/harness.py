@@ -166,18 +166,6 @@ class ExperimentResult:
     rows: list
     instance_notes: list = field(default_factory=list)
 
-    def rows_for(self, param, algorithm) -> list:
-        return [
-            r for r in self.rows if r.param == param and r.algorithm == algorithm
-        ]
-
-    def covered_values(self, param, algorithm) -> list:
-        return [r.covered for r in self.rows_for(param, algorithm)]
-
-    def mean_feasible_fraction(self, param, algorithm) -> float:
-        rows = self.rows_for(param, algorithm)
-        return sum(r.feasible_covered / r.feasible_total for r in rows) / len(rows)
-
 
 def derive_seed(*parts) -> int:
     digest = hashlib.sha256("|".join(str(p) for p in parts).encode()).digest()
@@ -204,8 +192,10 @@ def run_algorithm(name: str, problem, budget: int, rng, plan: ExperimentPlan):
 def _run_cell(args):
     """One (instance parameter, repetition): all algorithms on one instance.
 
-    A failure is re-raised as a RuntimeError that names the cell and, for a
-    failed run, the algorithm and its run seed.
+    Returns the cell's raw rows and its manifest ``instance`` note: the cell,
+    the instance seed and, for a landscape, the drawn optima. A failure is
+    re-raised as a RuntimeError that names the cell and, for a failed run,
+    the algorithm and its run seed.
     """
     plan, param, rep = args
     cell = f"family={plan.family} param={param} rep={rep}"
@@ -245,9 +235,8 @@ def _run_cell(args):
             )
         )
     note = f"{cell} seed={instance_seed}"
-    manifest = problem.manifest()
-    if "optima" in manifest:
-        note += f" optima={manifest['optima']}"
+    if plan.family in ARTIFICIAL_KINDS:
+        note += f" optima={','.join(str(g) for g in problem.optima)}"
     return param, rep, rows, note
 
 
@@ -332,7 +321,13 @@ def summarize_rows(rows) -> list:
 
 
 def emit_csv(result: ExperimentResult, out_dir) -> dict:
-    """Write raw.csv, summary.csv and manifest.txt; returns the paths."""
+    """Write raw.csv, summary.csv and manifest.txt; returns the paths.
+
+    manifest.txt holds the write time, the schema version and every plan
+    field as ``name = value`` in declaration order, a tuple joined with
+    commas. A subject adds its ``sut_`` manifest and target names; then
+    comes one ``instance`` line per cell.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     raw_path = out / "raw.csv"
@@ -347,13 +342,11 @@ def emit_csv(result: ExperimentResult, out_dir) -> dict:
     with manifest_path.open("w") as fh:
         fh.write(f"written_at = {time.strftime('%Y-%m-%dT%H:%M:%S')}\n")
         fh.write(f"schema_version = {SCHEMA_VERSION}\n")
-        fh.write(f"family = {result.plan.family}\n")
-        fh.write(f"params = {','.join(str(p) for p in result.plan.params)}\n")
-        fh.write(f"algorithms = {','.join(result.plan.algorithms)}\n")
-        fh.write(f"repetitions = {result.plan.repetitions}\n")
-        fh.write(f"budget = {result.plan.budget}\n")
-        fh.write(f"base_seed = {result.plan.base_seed}\n")
-        fh.write(f"r = {result.plan.r}\n")
+        for f in fields(result.plan):
+            value = getattr(result.plan, f.name)
+            if isinstance(value, tuple):
+                value = ",".join(str(v) for v in value)
+            fh.write(f"{f.name} = {value}\n")
         if result.plan.family in SUT_NAMES:
             problem = SutProblem(result.plan.family)
             for key, value in problem.manifest().items():

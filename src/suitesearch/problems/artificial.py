@@ -64,7 +64,7 @@ class ArtificialProblem:
         self.kind = kind
         self.optima = optima
         self.r = r
-        self.infeasible_count = infeasible_count if kind == INFEASIBLE else 0
+        self.infeasible_count = infeasible_count
         self.target_count = len(optima) + self.infeasible_count
         self.input_specs = (InputSpec(0, r),)
         self._plateau_h = rho(0.1 * r)
@@ -75,13 +75,18 @@ class ArtificialProblem:
         """Draw the optima of a fresh instance uniformly from [0, r].
 
         For the infeasible kind pass ``infeasible_count``; for the others
-        pass ``z``, the number of targets.
+        pass ``z``, the number of targets. Passing the other keyword is an
+        error.
         """
         if kind == INFEASIBLE:
+            if z is not None:
+                raise ValueError("the infeasible kind takes infeasible_count, not z")
             if infeasible_count is None:
                 raise ValueError("infeasible instances need infeasible_count")
             feasible = FEASIBLE_BASE
         else:
+            if infeasible_count is not None:
+                raise ValueError("only the infeasible kind takes infeasible_count")
             if z is None or z < 1:
                 raise ValueError("z must be a positive target count")
             feasible = z
@@ -128,12 +133,3 @@ class ArtificialProblem:
                 d = x - g if x >= g else g - x
                 h = 1.0 / (1.0 + d)
         return {k: h}
-
-    def manifest(self) -> dict:
-        return {
-            "family": self.kind,
-            "targets": str(self.target_count),
-            "r": str(self.r),
-            "optima": ",".join(str(g) for g in self.optima),
-            "infeasible_count": str(self.infeasible_count),
-        }

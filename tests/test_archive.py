@@ -97,13 +97,13 @@ class TestSampling:
 
     def test_fds_picks_lowest_counter_and_increments(self):
         archive = self._populated([3, 0, 7])
-        test = archive.sample_with_target(random.Random(1))[1]
+        test = archive.sample_with_target(random.Random(1))[0]
         assert test.id == 1
         assert [p.counter for p in archive.populations] == [3, 1, 7]
 
     def test_fds_breaks_ties_among_minima(self):
         seen = {
-            self._populated([0, 5, 0]).sample_with_target(random.Random(s))[0]
+            self._populated([0, 5, 0]).sample_with_target(random.Random(s))[0].id
             for s in range(40)
         }
         assert seen == {0, 2}
@@ -111,17 +111,17 @@ class TestSampling:
     def test_single_population_sampled(self):
         archive = Archive(3)
         archive.save(TestCase(2, (9,)), vec(2, 0.3), capacity=10)
-        assert archive.sample_with_target(random.Random(0))[1].id == 2
+        assert archive.sample_with_target(random.Random(0))[0].id == 2
 
     def test_uniform_sampling_when_fds_disabled(self):
         seen = {
-            self._populated([5, 0]).sample_with_target(random.Random(s), fds=False)[0]
+            self._populated([5, 0]).sample_with_target(random.Random(s), fds=False)[0].id
             for s in range(40)
         }
         assert seen == {0, 1}
         # FDS never picks the stale target.
         seen_fds = {
-            self._populated([5, 0]).sample_with_target(random.Random(s))[0]
+            self._populated([5, 0]).sample_with_target(random.Random(s))[0].id
             for s in range(10)
         }
         assert seen_fds == {1}
@@ -131,7 +131,7 @@ class TestSampling:
         archive.save(TestCase(0, (1,)), vec(0, 1.0), capacity=10)
         archive.save(TestCase(1, (2,)), vec(1, 1.0), capacity=10)
         before = [p.counter for p in archive.populations]
-        ids = {archive.sample_with_target(random.Random(s))[1].id for s in range(20)}
+        ids = {archive.sample_with_target(random.Random(s))[0].id for s in range(20)}
         assert ids == {0, 1}
         assert [p.counter for p in archive.populations] == before
 

@@ -1,9 +1,7 @@
 """Smoke tests for the code outside the package: the demos and the README's
-quick start run, the slow scripts at least import names the library still
-provides, and the package exports what the README and demos import."""
+quick start run, and the package exports what the README and demos import."""
 
 import ast
-import importlib
 import os
 import re
 import subprocess
@@ -15,8 +13,12 @@ import pytest
 import suitesearch
 
 ROOT = Path(__file__).resolve().parents[1]
-FAST_DEMOS = ("landscape_tour.py", "single_search_run.py", "unit_testing_subjects.py")
-SLOW_SCRIPTS = ("demos/algorithm_shootout.py",)
+FAST_DEMOS = (
+    "algorithm_shootout.py",
+    "landscape_tour.py",
+    "single_search_run.py",
+    "unit_testing_subjects.py",
+)
 
 
 def _run_python(args):
@@ -56,14 +58,6 @@ def test_readme_quick_start_runs():
     assert len(blocks) == 1
     done = _run_python(["-c", blocks[0]])
     assert done.returncode == 0, done.stderr
-
-
-@pytest.mark.parametrize("path", SLOW_SCRIPTS)
-def test_script_imports_resolve(path):
-    imported = _suitesearch_imports((ROOT / path).read_text())
-    for module, name in imported:
-        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
-    assert imported
 
 
 def test_exports_are_what_readme_and_demos_import():

@@ -19,13 +19,12 @@ Both batteries take several minutes, so the module runs only when
 
 import hashlib
 import os
-import statistics
 import time
 
 import pytest
 
 from suitesearch.cli import main
-from suitesearch.harness import ExperimentPlan, run_plan, sut_plans
+from suitesearch.harness import ExperimentPlan, run_plan, summarize_rows, sut_plans
 from suitesearch.problems import SUT_NAMES
 from suitesearch.stats import mann_whitney_u, vargha_delaney_a12
 
@@ -149,8 +148,18 @@ def acceptance():
 
 
 def _fractions(result, param) -> dict:
-    """Algorithm -> its mean fraction of feasible targets covered at ``param``."""
-    return {a: result.mean_feasible_fraction(param, a) for a in result.plan.algorithms}
+    """Algorithm -> its mean fraction of feasible targets covered at ``param``,
+    as summary.csv reports it."""
+    return {
+        row["algorithm"]: row["mean_feasible_fraction"]
+        for row in summarize_rows(result.rows)
+        if row["param"] == param
+    }
+
+
+def _covered(result, param, algorithm) -> list:
+    """Targets covered by each of ``algorithm``'s runs at ``param``."""
+    return [r.covered for r in result.rows if r.param == param and r.algorithm == algorithm]
 
 
 def test_ac1_gradient_plan_runtime(acceptance):
@@ -172,7 +181,7 @@ def test_ac1_mio_mosa_parity(acceptance):
 
 def test_ac5a_wts_random_parity(acceptance):
     result, _ = acceptance("gradient")
-    a12 = vargha_delaney_a12(result.covered_values(20, "wts"), result.covered_values(20, "random"))
+    a12 = vargha_delaney_a12(_covered(result, 20, "wts"), _covered(result, 20, "random"))
     print(f"AC5a gradient z=20 A12(WTS, random) {a12:.3f} (bound [0.4, 0.6])")
     assert 0.4 <= a12 <= 0.6
 
@@ -224,8 +233,8 @@ def test_ac3_random_leads_small_deceptive(z, acceptance):
 def test_ac3_mio_beats_large_deceptive(z, acceptance):
     result, _ = acceptance("deceptive")
     fraction = _fractions(result, z)
-    mio = result.covered_values(z, "mio")
-    p = {a: mann_whitney_u(mio, result.covered_values(z, a)) for a in ("mosa", "wts", "random")}
+    mio = _covered(result, z, "mio")
+    p = {a: mann_whitney_u(mio, _covered(result, z, a)) for a in ("mosa", "wts", "random")}
     print(
         f"AC3 deceptive z={z} MIO {fraction['mio']:.3f} "
         + " ".join(f"{a} {fraction[a]:.3f} p={p[a]:.3g}" for a in p)
@@ -253,7 +262,7 @@ def test_ac4_others_stall_beside_infeasible(algorithm, acceptance):
 @pytest.mark.parametrize("subject", SUT_NAMES)
 def test_ac6_mio_covers_most_of_subject(subject, acceptance):
     result, _ = acceptance(subject)
-    mean = {a: statistics.fmean(result.covered_values(0, a)) for a in ("mio", "mosa", "wts")}
+    mean = {row["algorithm"]: row["mean_covered"] for row in summarize_rows(result.rows)}
     print(
         f"AC6 {subject} mean targets covered MIO {mean['mio']:.2f} MOSA {mean['mosa']:.2f} "
         f"WTS {mean['wts']:.2f} (bound MIO >= MOSA, WTS)"

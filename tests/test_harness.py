@@ -228,8 +228,19 @@ class TestCsvEmission:
     def test_manifest_records_plan_and_instances(self, tmp_path):
         result = run_plan(small_plan())
         text = emit_csv(result, tmp_path)["manifest"].read_text()
-        assert "family = gradient" in text
-        assert "base_seed = 7" in text
+        lines = text.splitlines()
+        first_instance = next(i for i, line in enumerate(lines) if line.startswith("instance ="))
+        assert lines[0].startswith("written_at = ")
+        assert lines[1:first_instance] == [
+            "schema_version = 1",
+            "family = gradient",
+            "params = 1,3",
+            "algorithms = mio,mosa,wts,random",
+            "repetitions = 3",
+            "budget = 60",
+            "base_seed = 7",
+            "r = 1000",
+        ]
         assert text.count("instance =") == 2 * 3
 
     def test_sut_manifest_lists_targets(self, tmp_path):

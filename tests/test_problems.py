@@ -128,6 +128,11 @@ class TestArtificialLandscapes:
             make("infeasible", (1, 2, 3), infeasible_count=5)
         with pytest.raises(ValueError):
             make("gradient", (1, 2), infeasible_count=5)
+        rng = random.Random(0)
+        with pytest.raises(ValueError, match="infeasible_count"):
+            ArtificialProblem.random_instance("gradient", rng, z=5, infeasible_count=3)
+        with pytest.raises(ValueError, match="not z"):
+            ArtificialProblem.random_instance("infeasible", rng, z=5, infeasible_count=3)
 
     def test_target_counts(self):
         rng = random.Random(0)

@@ -247,7 +247,7 @@ def run_mosa(problem, budget: int, rng) -> SearchResult:
         rows[len(tests)] = _dense_row(run.evaluate(test, FIXED_ARCHIVE_CAPACITY), z)
         tests.append(test)
 
-    ranks = _mosa_ranks(rows[:POPULATION_SIZE], _uncovered_ids(archive, z))
+    ranks = _mosa_ranks(rows[:POPULATION_SIZE], _uncovered_ids(archive))
 
     while not run.over:
         while len(tests) < 2 * POPULATION_SIZE and not run.over:
@@ -261,15 +261,14 @@ def run_mosa(problem, budget: int, rng) -> SearchResult:
                 tests.append(child)
         if run.over:
             break  # the run is over, so nothing would read a last ranking
-        keep, ranks = _mosa_sort(rows, _uncovered_ids(archive, z), POPULATION_SIZE)
+        keep, ranks = _mosa_sort(rows, _uncovered_ids(archive), POPULATION_SIZE)
         tests = [tests[i] for i in keep]
         rows[:POPULATION_SIZE] = rows[keep]
     return run.finish()
 
 
-def _uncovered_ids(archive: Archive, z: int) -> list:
-    covered = set(archive.covered_targets())
-    return [k for k in range(z) if k not in covered]
+def _uncovered_ids(archive: Archive) -> list:
+    return [k for k, pop in enumerate(archive.populations) if not pop.covered]
 
 
 def _tournament_min(rng, keys: list, k: int) -> int:
@@ -379,18 +378,17 @@ def _crowding(matrix: np.ndarray, rank: np.ndarray) -> np.ndarray:
 
     ``rank`` gives each row's front; MOSA passes the rows of the fronts it
     keeps, up to the straddling one, and a front's distances depend on its
-    own members only. Per objective, a front's lowest and highest members
-    (row order breaking ties) are infinitely far; an interior member gets
-    the gap between its neighbours over the front's range, or nothing when
-    the range is empty. Members of fronts of one or two are infinitely far.
-    Gaps sum over objectives left to right.
+    own members only. Per objective, one stable sort orders the rows by front,
+    then by value, row order breaking ties; a front's lowest and highest
+    members are infinitely far, and an interior member gets the gap between
+    its neighbours over the front's range, or nothing when the range is
+    empty. Members of fronts of one or two are infinitely far. Gaps sum over
+    objectives left to right.
     """
     vals = matrix.astype(np.float64)
-    by_value = np.argsort(vals, axis=0, kind="stable")
-    # Regroup each column by front, keeping value order inside a front.
-    by_front = np.argsort(rank[by_value], axis=0, kind="stable")
-    order = np.take_along_axis(by_value, by_front, axis=0)
-    v = np.take_along_axis(vals, order, axis=0)
+    order = np.lexsort((vals, np.broadcast_to(rank[:, None], vals.shape)), axis=0)
+    cols = np.arange(vals.shape[1])
+    v = vals[order, cols]
     sorted_rank = np.sort(rank)
     boundary = sorted_rank[1:] != sorted_rank[:-1]
     first = np.concatenate(([True], boundary))
@@ -402,7 +400,7 @@ def _crowding(matrix: np.ndarray, rank: np.ndarray) -> np.ndarray:
     np.divide(v[2:] - v[:-2], span[1:-1], out=gaps[1:-1], where=span[1:-1] > 0)
     gaps[first | last] = np.inf
     per_member = np.empty_like(gaps)
-    np.put_along_axis(per_member, order, gaps, axis=0)
+    per_member[order, cols] = gaps
     # cumsum adds strictly left to right; sum() would add pairwise and
     # round differently from the per-objective loop it replaces.
     return np.cumsum(per_member, axis=1)[:, -1]

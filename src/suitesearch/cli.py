@@ -26,25 +26,6 @@ from .harness import (
 )
 
 
-# The keys a ``run --config`` file may set, one per ``run`` flag.
-CONFIG_KEYS = (
-    "family", "z_list", "budget", "reps", "seed", "r", "algorithms", "out_dir", "workers",
-)
-
-# The flag that sets each ExperimentPlan field, and run_plan's workers. Their
-# errors start with the field; the CLI reports them against the flag.
-FLAGS = {
-    "family": "--family",
-    "params": "--z-list",
-    "algorithms": "--algorithms",
-    "repetitions": "--reps",
-    "budget": "--budget",
-    "base_seed": "--seed",
-    "r": "--r",
-    "workers": "--workers",
-}
-
-
 class CliError(Exception):
     """A user-facing problem with flags or config values."""
 
@@ -59,6 +40,34 @@ def _parse_int(text: str, flag: str) -> int:
 def _parse_int_list(text: str, flag: str) -> tuple:
     pieces = (piece.strip() for piece in text.split(","))
     return tuple(_parse_int(piece, flag) for piece in pieces if piece)
+
+
+def _parse_names(text: str, flag: str) -> tuple:
+    return tuple(name.strip() for name in text.split(",") if name.strip())
+
+
+def _parse_text(text: str, flag: str) -> str:
+    return text
+
+
+# Each ``run`` option, in ``--help`` order: its config key (the flag is ``--``
+# plus the key, with ``-`` for ``_``), the ExperimentPlan field it sets (or
+# run_plan's ``workers``, or the output directory), its parser and its help.
+RUN_OPTIONS = (
+    ("family", "family", _parse_text, "problem family (landscape kind or subject name)"),
+    ("z_list", "params", _parse_int_list, "comma-separated instance parameters"),
+    ("budget", "budget", _parse_int, "fitness evaluations per run"),
+    ("reps", "repetitions", _parse_int, "repetitions per cell"),
+    ("seed", "base_seed", _parse_int, "base seed"),
+    ("r", "r", _parse_int, "input range bound for landscapes"),
+    ("algorithms", "algorithms", _parse_names, "comma-separated algorithm names"),
+    ("out_dir", "out_dir", _parse_text, "output directory"),
+    ("workers", "workers", _parse_int, "parallel worker processes"),
+)
+
+# The flag that sets each field. Plan and run errors start with the field;
+# the CLI reports them against the flag.
+FLAGS = {field: "--" + key.replace("_", "-") for key, field, _, _ in RUN_OPTIONS}
 
 
 def _flagged(call, *args, **kwargs):
@@ -77,42 +86,29 @@ def _build_run_plan(args) -> tuple:
     """The plan, output directory and worker count that ``run``'s flags and
     config file give. ExperimentPlan checks and defaults every plan value
     neither sets."""
-    options = {}
+    keys = [key for key, _, _, _ in RUN_OPTIONS]
+    given = {}
     if args.config:
         try:
-            options = read_config(args.config)
+            given = read_config(args.config)
         except ValueError as exc:  # a malformed line or a repeated key
             raise CliError(str(exc)) from None
-        for key in options:
-            if key not in CONFIG_KEYS:
-                raise CliError(
-                    f"{args.config}: unknown key {key!r}; pick from {', '.join(CONFIG_KEYS)}"
-                )
-
-    def pick(key):
-        """The flag's value for ``key``, else the config file's, else None."""
-        value = getattr(args, key)
-        return options.get(key) if value is None else value
-
-    family = pick("family")
-    if family is None:
+        for key in given:
+            if key not in keys:
+                raise CliError(f"{args.config}: unknown key {key!r}; pick from {', '.join(keys)}")
+    # A flag overrides the config file.
+    given.update((key, getattr(args, key)) for key in keys if getattr(args, key) is not None)
+    if "family" not in given:
         raise CliError("--family is required (or 'family' in the config file)")
-    values = {"family": family}
-    z_text = pick("z_list")
-    if z_text is not None:
-        values["params"] = _parse_int_list(z_text, "--z-list")
-    names = pick("algorithms")
-    if names is not None:
-        values["algorithms"] = tuple(a.strip() for a in names.split(",") if a.strip())
-    for field in ("repetitions", "budget", "base_seed", "r"):
-        text = pick(FLAGS[field][2:])  # the key is the flag's name
-        if text is not None:
-            values[field] = _parse_int(text, FLAGS[field])
-    workers = pick("workers")
-    workers = 1 if workers is None else _parse_int(workers, "--workers")
-    out_dir = pick("out_dir")
+    values = {
+        field: parse(given[key], FLAGS[field])
+        for key, field, parse, _ in RUN_OPTIONS
+        if key in given
+    }
+    out_dir = Path(values.pop("out_dir", "results"))
+    workers = values.pop("workers", 1)
     plan = _flagged(ExperimentPlan, **values)
-    return plan, Path("results" if out_dir is None else out_dir), workers
+    return plan, out_dir, workers
 
 
 def _cmd_run(args) -> int:
@@ -123,13 +119,21 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _replicate(args, make_plans, prefix: str) -> int:
+# Each ``replicate-*`` command: its name, plan builder, output prefix,
+# default output directory and help.
+REPLICATIONS = (
+    ("replicate-figures", figure_plans, "fig", "figures", "run the four landscape sweeps"),
+    ("replicate-table1", sut_plans, "table1", "table1", "run the three-subject comparison"),
+)
+
+
+def _replicate(args) -> int:
     seed = _parse_int(args.seed, "--seed")
     reps = _parse_int(args.reps, "--reps")
     workers = _parse_int(args.workers, "--workers")
-    for name, plan in _flagged(make_plans, seed, reps).items():
+    for name, plan in _flagged(args.make_plans, seed, reps).items():
         result = _flagged(run_plan, plan, workers=workers)
-        paths = emit_csv(result, Path(args.out_dir) / f"{prefix}-{name}")
+        paths = emit_csv(result, Path(args.out_dir) / f"{args.prefix}-{name}")
         print(f"{name}: {len(result.rows)} runs -> {paths['summary']}")
     return 0
 
@@ -154,30 +158,17 @@ def _make_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one experiment plan")
     run_p.add_argument("--config", help="flat key = value config file")
-    run_p.add_argument("--family", help="problem family (landscape kind or subject name)")
-    run_p.add_argument("--z-list", dest="z_list", help="comma-separated instance parameters")
-    run_p.add_argument("--budget", help="fitness evaluations per run")
-    run_p.add_argument("--reps", help="repetitions per cell")
-    run_p.add_argument("--seed", help="base seed")
-    run_p.add_argument("--r", help="input range bound for landscapes")
-    run_p.add_argument("--algorithms", help="comma-separated algorithm names")
-    run_p.add_argument("--out-dir", dest="out_dir", help="output directory")
-    run_p.add_argument("--workers", help="parallel worker processes")
+    for key, field, _, help_text in RUN_OPTIONS:
+        run_p.add_argument(FLAGS[field], dest=key, help=help_text)
     run_p.set_defaults(func=_cmd_run)
 
-    fig_p = sub.add_parser("replicate-figures", help="run the four landscape sweeps")
-    fig_p.add_argument("--out-dir", dest="out_dir", default="figures")
-    fig_p.add_argument("--reps", default="100")
-    fig_p.add_argument("--seed", default="1")
-    fig_p.add_argument("--workers", default="1")
-    fig_p.set_defaults(func=lambda args: _replicate(args, figure_plans, "fig"))
-
-    tab_p = sub.add_parser("replicate-table1", help="run the three-subject comparison")
-    tab_p.add_argument("--out-dir", dest="out_dir", default="table1")
-    tab_p.add_argument("--reps", default="100")
-    tab_p.add_argument("--seed", default="1")
-    tab_p.add_argument("--workers", default="1")
-    tab_p.set_defaults(func=lambda args: _replicate(args, sut_plans, "table1"))
+    for name, make_plans, prefix, out_dir, help_text in REPLICATIONS:
+        rep_p = sub.add_parser(name, help=help_text)
+        rep_p.add_argument("--out-dir", dest="out_dir", default=out_dir)
+        rep_p.add_argument("--reps", default="100")
+        rep_p.add_argument("--seed", default="1")
+        rep_p.add_argument("--workers", default="1")
+        rep_p.set_defaults(func=_replicate, make_plans=make_plans, prefix=prefix)
 
     st_p = sub.add_parser("stats", help="recompute a summary from a raw.csv")
     st_p.add_argument("raw_csv")

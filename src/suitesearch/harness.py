@@ -205,9 +205,7 @@ def _run_cell(args):
         problem = build_problem(plan.family, param, instance_rng, plan.r)
     except Exception as exc:
         raise RuntimeError(f"cell {cell} instance_seed={instance_seed}: {exc!r}") from exc
-    feasible = list(problem.feasible_targets())
-    feasible_total = len(feasible)
-    feasible_set = set(feasible)
+    feasible = problem.feasible_targets()
     rows = []
     for name in plan.algorithms:
         run_seed = derive_seed(instance_seed, name)
@@ -217,7 +215,7 @@ def _run_cell(args):
             raise RuntimeError(
                 f"cell {cell} algorithm={name} seed={run_seed}: {exc!r}"
             ) from exc
-        feasible_covered = sum(1 for k in result.covered_targets if k in feasible_set)
+        feasible_covered = sum(1 for k in result.covered_targets if k in feasible)
         rows.append(
             RawRun(
                 family=plan.family,
@@ -227,7 +225,7 @@ def _run_cell(args):
                 seed=run_seed,
                 covered=len(result.covered_targets),
                 feasible_covered=feasible_covered,
-                feasible_total=feasible_total,
+                feasible_total=len(feasible),
                 target_count=problem.target_count,
                 coverage_sum=result.coverage_sum,
                 suite_size=len(result.suite),
@@ -379,6 +377,10 @@ def read_raw_csv(path) -> list:
                 if None in rec or None in rec.values():
                     raise ValueError(f"expected {len(reader.fieldnames)} fields")
                 row = RawRun(**{name: parse[name](rec[name]) for name in _RAW_FIELDS})
+                if row.algorithm not in _ALGORITHMS:
+                    raise ValueError(
+                        f"unknown algorithm {row.algorithm!r}; pick from {ALGORITHMS}"
+                    )
                 # The summary divides by it.
                 if row.feasible_total < 1:
                     raise ValueError(f"feasible_total must be >= 1, got {row.feasible_total}")

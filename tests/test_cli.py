@@ -111,6 +111,36 @@ class TestRunCommand:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "key, value, line",
+        [
+            ("family", "triangle", "family = triangle"),
+            ("z_list", "2,1", "params = 2,1"),
+            ("budget", "7", "budget = 7"),
+            ("reps", "2", "repetitions = 2"),
+            ("seed", "3", "base_seed = 3"),
+            ("r", "5", "r = 5"),
+            ("algorithms", "wts,random", "algorithms = wts,random"),
+        ],
+    )
+    def test_each_option_sets_its_field(self, key, value, line, source, tmp_path):
+        # A subject takes parameter 0 only, so z_list is read on a landscape.
+        given = {"family": "gradient" if key == "z_list" else "triangle",
+                 "budget": "5", "reps": "1", "algorithms": "random"}
+        given[key] = value
+        out = tmp_path / "out"
+        argv = ["run", "--out-dir", str(out)]
+        if source == "config":
+            cfg = tmp_path / "plan.cfg"
+            cfg.write_text(f"{key} = {value}\n")
+            argv += ["--config", str(cfg)]
+            del given[key]
+        for name, text in given.items():
+            argv += ["--" + name.replace("_", "-"), text]
+        assert run_cli(*argv) == 0
+        assert line in (out / "manifest.txt").read_text().splitlines()
+
     def test_unknown_config_key_is_an_error(self, tmp_path, capsys):
         # A misspelt key would otherwise leave its setting at the default.
         cfg = tmp_path / "plan.cfg"
@@ -243,8 +273,13 @@ class TestStatsCommand:
                 "0" if column == "feasible_total" else value
                 for column, value in zip(RAW_COLUMNS, line.split(","))
             ),
+            # The summary names each algorithm it compares.
+            lambda line: ",".join(
+                "foo" if column == "algorithm" else value
+                for column, value in zip(RAW_COLUMNS, line.split(","))
+            ),
         ],
-        ids=["short", "long", "zero_feasible_total"],
+        ids=["short", "long", "zero_feasible_total", "unknown_algorithm"],
     )
     def test_bad_row_names_file_and_line(self, edit, tmp_path, capsys):
         raw = self._raw(tmp_path)

@@ -32,7 +32,7 @@ print(" - deceptive rises again toward x = r, pulling search away from g")
 # The infeasible family appends targets that no input can ever cover; their
 # heuristic sits at rho(1) = 0.5 for every input with the matching id.
 infeasible = ArtificialProblem.random_instance(
-    "infeasible", random.Random(7), infeasible_count=3, r=r
+    "infeasible", random.Random(7), z=3, r=r
 )
 print()
 print(f"infeasible instance: {infeasible.target_count} targets, "

@@ -59,7 +59,6 @@ RUN_OPTIONS = (
     ("budget", "budget", _parse_int, "fitness evaluations per run"),
     ("reps", "repetitions", _parse_int, "repetitions per cell"),
     ("seed", "base_seed", _parse_int, "base seed"),
-    ("r", "r", _parse_int, "input range bound for landscapes"),
     ("algorithms", "algorithms", _parse_names, "comma-separated algorithm names"),
     ("out_dir", "out_dir", _parse_text, "output directory"),
     ("workers", "workers", _parse_int, "parallel worker processes"),
@@ -150,27 +149,29 @@ def _cmd_stats(args) -> int:
 
 
 def _make_parser() -> argparse.ArgumentParser:
+    # No parser takes a flag's prefix for the flag: ``--r`` must not mean ``--reps``.
     parser = argparse.ArgumentParser(
         prog="suitesearch",
         description="Run test-suite generation experiments and statistics.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run one experiment plan")
+    run_p = sub.add_parser("run", help="run one experiment plan", allow_abbrev=False)
     run_p.add_argument("--config", help="flat key = value config file")
     for key, field, _, help_text in RUN_OPTIONS:
         run_p.add_argument(FLAGS[field], dest=key, help=help_text)
     run_p.set_defaults(func=_cmd_run)
 
     for name, make_plans, prefix, out_dir, help_text in REPLICATIONS:
-        rep_p = sub.add_parser(name, help=help_text)
+        rep_p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         rep_p.add_argument("--out-dir", dest="out_dir", default=out_dir)
         rep_p.add_argument("--reps", default="100")
         rep_p.add_argument("--seed", default="1")
         rep_p.add_argument("--workers", default="1")
         rep_p.set_defaults(func=_replicate, make_plans=make_plans, prefix=prefix)
 
-    st_p = sub.add_parser("stats", help="recompute a summary from a raw.csv")
+    st_p = sub.add_parser("stats", help="recompute a summary from a raw.csv", allow_abbrev=False)
     st_p.add_argument("raw_csv")
     st_p.add_argument("--out", help="summary output path")
     st_p.set_defaults(func=_cmd_stats)

@@ -24,6 +24,7 @@ from typing import get_type_hints
 
 from .algorithms import run_mio, run_mosa, run_random, run_wts
 from .problems import ARTIFICIAL_KINDS, INFEASIBLE, SUT_NAMES, ArtificialProblem, SutProblem
+from .problems.artificial import DEFAULT_RANGE
 from .stats import mann_whitney_u, vargha_delaney_a12
 
 SCHEMA_VERSION = 1
@@ -66,11 +67,13 @@ class ExperimentPlan:
 
     ``params`` defaults to the family's grid: ``Z_GRID`` for the gradient,
     plateau and deceptive landscapes, ``INFEASIBLE_GRID`` for the infeasible
-    one, and ``(0,)`` for a subject. Every value's type and range are checked
-    when the plan is built, each instance parameter by :meth:`cell_is_valid`,
-    so a plan that exists can run every cell and writes what it was given.
-    Each error message starts with the field at fault, as in
-    ``budget: must be >= 0``.
+    one, and ``(0,)`` for a subject. Each parameter makes one instance: a
+    subject, or a landscape whose inputs range over ``[0, DEFAULT_RANGE]``.
+    ``params`` and ``algorithms`` are stored as tuples, whatever sequence
+    was given. Every value's type and range are checked when the plan is
+    built, each instance parameter by :meth:`cell_is_valid`, so a plan that
+    exists can run every cell and writes what it was given. Each error
+    message starts with the field at fault, as in ``budget: must be >= 0``.
     """
 
     family: str
@@ -79,7 +82,6 @@ class ExperimentPlan:
     repetitions: int = 100
     budget: int = 1000
     base_seed: int = 1
-    r: int = 1000
 
     def __post_init__(self):
         if self.family not in ARTIFICIAL_KINDS and self.family not in SUT_NAMES:
@@ -94,7 +96,8 @@ class ExperimentPlan:
                 grid = INFEASIBLE_GRID if self.family == INFEASIBLE else Z_GRID
             object.__setattr__(self, "params", grid)
         for name in ("algorithms", "params"):
-            values = getattr(self, name)
+            values = tuple(getattr(self, name))
+            object.__setattr__(self, name, values)
             if not values:
                 raise ValueError(f"{name}: empty list")
             for i, value in enumerate(values):
@@ -109,7 +112,7 @@ class ExperimentPlan:
             reason = self.cell_is_valid(param)
             if reason is not None:
                 raise ValueError(f"params: {reason}")
-        for name in ("repetitions", "budget", "base_seed", "r"):
+        for name in ("repetitions", "budget", "base_seed"):
             value = getattr(self, name)
             if type(value) is not int:
                 raise TypeError(f"{name}: must be an int, got {value!r}")
@@ -117,8 +120,6 @@ class ExperimentPlan:
             raise ValueError("repetitions: must be >= 1")
         if self.budget < 0:
             raise ValueError("budget: must be >= 0")
-        if self.r < 1:
-            raise ValueError("r: must be >= 1")
 
     def cell_is_valid(self, param) -> str | None:
         """Reason ``param`` cannot be an instance of the plan's family, or
@@ -172,12 +173,10 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def build_problem(family: str, param: int, rng, r: int = 1000):
+def build_problem(family: str, param: int, rng):
     if family in SUT_NAMES:
         return SutProblem(family)
-    if family == INFEASIBLE:
-        return ArtificialProblem.random_instance(family, rng, infeasible_count=param, r=r)
-    return ArtificialProblem.random_instance(family, rng, z=param, r=r)
+    return ArtificialProblem.random_instance(family, rng, param)
 
 
 def run_algorithm(name: str, problem, budget: int, rng, plan: ExperimentPlan):
@@ -199,10 +198,11 @@ def _run_cell(args):
     """
     plan, param, rep = args
     cell = f"family={plan.family} param={param} rep={rep}"
-    instance_seed = derive_seed(plan.base_seed, plan.family, param, plan.r, rep)
-    instance_rng = random.Random(instance_seed)
+    # The landscape range stays in the hash, fixed though it is, so that the
+    # instance seeds, and every result drawn from them, match earlier runs.
+    instance_seed = derive_seed(plan.base_seed, plan.family, param, DEFAULT_RANGE, rep)
     try:
-        problem = build_problem(plan.family, param, instance_rng, plan.r)
+        problem = build_problem(plan.family, param, random.Random(instance_seed))
     except Exception as exc:
         raise RuntimeError(f"cell {cell} instance_seed={instance_seed}: {exc!r}") from exc
     feasible = problem.feasible_targets()

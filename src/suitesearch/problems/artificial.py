@@ -71,26 +71,14 @@ class ArtificialProblem:
         self._infeasible_h = rho(1.0)
 
     @classmethod
-    def random_instance(cls, kind, rng, *, z=None, infeasible_count=None, r=DEFAULT_RANGE):
+    def random_instance(cls, kind, rng, z, r=DEFAULT_RANGE):
         """Draw the optima of a fresh instance uniformly from [0, r].
 
-        For the infeasible kind pass ``infeasible_count``; for the others
-        pass ``z``, the number of targets. Passing the other keyword is an
-        error.
+        ``z`` is the number of targets or, for the infeasible kind, the
+        number of infeasible targets beside the ``FEASIBLE_BASE`` feasible
+        ones. The constructor checks both counts.
         """
-        if kind == INFEASIBLE:
-            if z is not None:
-                raise ValueError("the infeasible kind takes infeasible_count, not z")
-            if infeasible_count is None:
-                raise ValueError("infeasible instances need infeasible_count")
-            feasible = FEASIBLE_BASE
-        else:
-            if infeasible_count is not None:
-                raise ValueError("only the infeasible kind takes infeasible_count")
-            if z is None or z < 1:
-                raise ValueError("z must be a positive target count")
-            feasible = z
-            infeasible_count = 0
+        feasible, infeasible_count = (FEASIBLE_BASE, z) if kind == INFEASIBLE else (z, 0)
         optima = tuple(randbelow(rng, r + 1) for _ in range(feasible))
         return cls(kind, optima, r=r, infeasible_count=infeasible_count)
 

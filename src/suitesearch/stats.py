@@ -28,20 +28,9 @@ def _as_array(sample, name: str) -> np.ndarray:
 
 def _midranks(pooled: np.ndarray):
     """Ranks with ties averaged, plus the tie-group sizes."""
-    n = pooled.size
-    order = np.argsort(pooled, kind="mergesort")
-    sorted_vals = pooled[order]
-    ranks = np.empty(n, dtype=np.float64)
-    tie_sizes = []
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        tie_sizes.append(j - i + 1)
-        i = j + 1
-    return ranks, tie_sizes
+    _, inverse, sizes = np.unique(pooled, return_inverse=True, return_counts=True)
+    # A group's midrank is its last 1-based rank minus half its spread.
+    return (np.cumsum(sizes) - (sizes - 1) / 2)[inverse], sizes.tolist()
 
 
 def vargha_delaney_a12(a, b) -> float:

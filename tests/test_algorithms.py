@@ -243,7 +243,7 @@ class TestMioBehaviour:
 
     def test_fds_toggle_changes_sampling(self):
         problem = ArtificialProblem.random_instance(
-            "infeasible", random.Random(5), infeasible_count=30
+            "infeasible", random.Random(5), z=30
         )
         with_fds = run_mio(problem, 800, random.Random(3))
         without = run_mio(problem, 800, random.Random(3), fds=False)

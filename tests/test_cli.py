@@ -120,7 +120,6 @@ class TestRunCommand:
             ("budget", "7", "budget = 7"),
             ("reps", "2", "repetitions = 2"),
             ("seed", "3", "base_seed = 3"),
-            ("r", "5", "r = 5"),
             ("algorithms", "wts,random", "algorithms = wts,random"),
         ],
     )
@@ -178,20 +177,40 @@ class TestRunCommand:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_r_below_one_is_a_flag_error(self, source, tmp_path, capsys):
+    def test_range_is_not_a_run_option(self, source, tmp_path, capsys):
+        # The landscape range is fixed; a plan has no setting for it.
+        argv = ["run", "--family", "gradient", "--z-list", "1", "--budget", "10",
+                "--reps", "1", "--out-dir", str(tmp_path / "out")]
         if source == "flag":
-            given = ("--r", "0")
+            with pytest.raises(SystemExit) as info:
+                run_cli(*argv, "--r", "500")
+            assert info.value.code == 2
+            assert "unrecognized arguments: --r 500" in capsys.readouterr().err
         else:
             cfg = tmp_path / "plan.cfg"
-            cfg.write_text("r = 0\n")
-            given = ("--config", str(cfg))
-        code = run_cli(
-            "run", "--family", "gradient", "--z-list", "1", "--budget", "10",
-            "--reps", "1", *given, "--out-dir", str(tmp_path / "out"),
-        )
-        assert code == 2
-        assert "--r: must be >= 1" in capsys.readouterr().err
+            cfg.write_text("r = 500\n")
+            assert run_cli(*argv, "--config", str(cfg)) == 2
+            assert f"{cfg}: unknown key 'r'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("run", "--fam", "triangle", "--reps", "1", "--budget", "20"),
+            ("replicate-figures", "--rep", "1"),
+            ("stats", "raw.csv", "--o", "summary.csv"),
+        ],
+        ids=["run", "replicate", "stats"],
+    )
+    def test_abbreviated_flag_is_refused(self, argv, tmp_path, monkeypatch, capsys):
+        # argparse would take a unique prefix for the flag, so a removed
+        # flag's prefix could silently set another one.
+        monkeypatch.chdir(tmp_path)  # where any output would go
+        with pytest.raises(SystemExit) as info:
+            run_cli(*argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 class TestConfigFiles:

@@ -76,7 +76,6 @@ class TestRunPlan:
                 fields["family"],
                 int(fields["param"]),
                 random.Random(int(fields["seed"])),
-                plan.r,
             )
             assert ",".join(map(str, problem.optima)) == fields["optima"]
 
@@ -107,7 +106,6 @@ class TestRunPlan:
             dict(algorithms=("mio", "mio")),
             dict(repetitions=0),
             dict(budget=-1),
-            dict(r=0),
             dict(params=(3, 3)),
             dict(params=()),
             dict(params=(0,)),
@@ -133,7 +131,6 @@ class TestRunPlan:
             dict(repetitions=True),
             dict(budget=10.5),
             dict(budget=False),
-            dict(r=2.5),
             dict(base_seed=True),
             dict(base_seed=1.0),
         ],
@@ -190,7 +187,7 @@ class TestCellFailures:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_instance_names_cell(self, workers, monkeypatch):
-        def broken(family, param, rng, r):
+        def broken(family, param, rng):
             raise ValueError("no instance")
 
         monkeypatch.setattr(harness, "build_problem", broken)
@@ -239,9 +236,19 @@ class TestCsvEmission:
             "repetitions = 3",
             "budget = 60",
             "base_seed = 7",
-            "r = 1000",
         ]
         assert text.count("instance =") == 2 * 3
+
+    def test_list_plan_writes_the_tuple_plans_manifest(self, tmp_path):
+        # Lists are stored as tuples, so the manifest has one format.
+        def plan_lines(plan, name):  # every manifest line after written_at
+            path = emit_csv(run_plan(plan), tmp_path / name)["manifest"]
+            return path.read_text().splitlines()[1:]
+
+        listed = small_plan(params=[1, 3], algorithms=["random"])
+        assert listed.params == (1, 3) and listed.algorithms == ("random",)
+        tupled = small_plan(params=(1, 3), algorithms=("random",))
+        assert plan_lines(listed, "list") == plan_lines(tupled, "tuple")
 
     def test_sut_manifest_lists_targets(self, tmp_path):
         plan = ExperimentPlan(

@@ -14,7 +14,6 @@ from suitesearch.algorithms import mutate
 from suitesearch.core import TestCase
 from suitesearch.problems import (
     ARTIFICIAL_KINDS,
-    INFEASIBLE,
     SUT_NAMES,
     ArtificialProblem,
     SutFault,
@@ -129,14 +128,15 @@ class TestArtificialLandscapes:
         with pytest.raises(ValueError):
             make("gradient", (1, 2), infeasible_count=5)
         rng = random.Random(0)
-        with pytest.raises(ValueError, match="infeasible_count"):
-            ArtificialProblem.random_instance("gradient", rng, z=5, infeasible_count=3)
-        with pytest.raises(ValueError, match="not z"):
-            ArtificialProblem.random_instance("infeasible", rng, z=5, infeasible_count=3)
+        # random_instance leaves its count to the constructor's checks.
+        with pytest.raises(ValueError, match="at least one feasible target"):
+            ArtificialProblem.random_instance("gradient", rng, 0)
+        with pytest.raises(ValueError, match="infeasible_count must be >= 0"):
+            ArtificialProblem.random_instance("infeasible", rng, -1)
 
     def test_target_counts(self):
         rng = random.Random(0)
-        assert ArtificialProblem.random_instance("infeasible", rng, infeasible_count=100).target_count == 110
+        assert ArtificialProblem.random_instance("infeasible", rng, z=100).target_count == 110
         assert ArtificialProblem.random_instance("gradient", rng, z=1).target_count == 1
 
     def test_random_instance_optima_within_range(self):
@@ -190,10 +190,7 @@ def _every_family(rng):
     """One problem per family: the three subjects and a small instance of
     each landscape kind, drawn from ``rng``."""
     return [SutProblem(name) for name in SUT_NAMES] + [
-        ArtificialProblem.random_instance(kind, rng, infeasible_count=3)
-        if kind == INFEASIBLE
-        else ArtificialProblem.random_instance(kind, rng, z=5)
-        for kind in ARTIFICIAL_KINDS
+        ArtificialProblem.random_instance(kind, rng, z=5) for kind in ARTIFICIAL_KINDS
     ]
 
 

@@ -22,9 +22,10 @@ Every algorithm takes its budget as a plain int, the number of evaluations
 the run may make, and the run counts its own. Every test execution,
 population initialization and fresh tests in new suites included, is one
 step, ``_Run.evaluate``: spend one evaluation, run the test, offer it to
-the archive. A run ends when the budget is spent or every target is
+the archive. A run ends when the budget is used up or every target is
 covered, but WTS still executes the rest of the generation it is building
-after the last target is covered.
+after the last target is covered. WTS runs each distinct test once, so it
+also ends once it has run every test the problem can make.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ def mutate(test: TestCase, problem, rng) -> TestCase:
 
 class _Run:
     """One run's problem, archive and evaluation count, and the evaluation
-    step every algorithm takes; ``used`` of ``cap`` evaluations are spent,
+    step every algorithm takes; ``used`` of ``cap`` evaluations are made,
     and ``over`` is true once all are or every target is covered.
     ``problem.evaluate`` and ``archive.save`` are looked up on every call, so
     wrappers on their classes or instances see each."""
@@ -116,14 +117,12 @@ class _Run:
         self.archive = Archive(self.z)
         self.cap = budget
         self.used = 0
-        self.over = self.spent()
-
-    def spent(self) -> bool:
-        return self.used >= self.cap
+        self.over = budget == 0
 
     def evaluate(self, test: TestCase, capacity: int):
         """Spend one evaluation on ``test``, save it at ``capacity``; return its
-        heuristics, ``{target: h}`` over the non-zero targets."""
+        heuristics, ``{target: h}`` over the non-zero targets. An overdraw
+        raises :class:`BudgetExhaustedError`, which is how WTS stops."""
         used = self.used
         if used >= self.cap:
             raise BudgetExhaustedError(f"budget of {self.cap} evaluations exhausted")
@@ -417,80 +416,72 @@ def run_wts(problem, budget: int, rng) -> SearchResult:
     Every executed test's dense heuristic row is written once into a
     run-wide float32 row table, which doubles whenever it fills; ``dense``
     maps each executed test to its row number, which keeps a structurally
-    equal test from being executed twice. A suite is a list of row numbers.
-    Suite mutation leaves at most one member pending, a new or mutated test
-    without a row yet, so an offspring executes that member alone. The
-    initial population, and then each generation's offspring, are scored
-    together by :func:`_suite_scores`.
+    equal test from being executed twice. A suite is a list of row numbers,
+    and each new test runs as soon as its suite is made. The initial
+    population, and then each generation's offspring, are scored together
+    by :func:`_suite_scores`. An exhausted budget ends the run; as no test
+    runs twice, the budget is capped at ``problem.test_count``, so having
+    run every test ends the run too.
     """
     run = _Run(problem, budget)
+    run.cap = min(run.cap, problem.test_count)
     tests: list = []  # row number -> test
     dense: dict = {}  # test -> row number, filled once per executed test
     table = np.zeros((_WTS_INITIAL_ROWS, run.z), dtype=np.float32)
 
-    def row_of(test: TestCase):
-        """Row number of ``test``, executing it first when it is new; None
-        when the budget is spent before it could run (only the budget stops
-        it, not full coverage)."""
+    def row_of(test: TestCase) -> int:
+        """Row number of ``test``, executing it first when it is new."""
         nonlocal table
         row = dense.get(test)
         if row is None:
-            if run.spent():
-                return None
+            h = run.evaluate(test, FIXED_ARCHIVE_CAPACITY)
             row = dense[test] = len(tests)
             if row == len(table):
                 table = np.concatenate((table, np.zeros_like(table)))
-            table[row] = _dense_row(run.evaluate(test, FIXED_ARCHIVE_CAPACITY), run.z)
+            table[row] = _dense_row(h, run.z)
             tests.append(test)
         return row
 
-    population: list = []
-    while len(population) < POPULATION_SIZE:
-        if run.over:
-            return run.finish()
-        suite = [
-            problem.random_test(rng)
-            for _ in range(1 + randbelow(rng, WTS_MAX_SUITE_SIZE))
-        ]
-        for i, test in enumerate(suite):
-            suite[i] = row_of(test)
-            if suite[i] is None:
+    try:
+        population: list = []
+        while len(population) < POPULATION_SIZE:
+            if run.over:
                 return run.finish()
-        population.append(suite)
+            size = 1 + randbelow(rng, WTS_MAX_SUITE_SIZE)
+            population.append([row_of(problem.random_test(rng)) for _ in range(size)])
 
-    fits = _suite_scores(table, population)
+        fits = _suite_scores(table, population)
 
-    while not run.over:
-        # (fitness, index) keys: the tournaments and the elite take the
-        # lowest fitness, and the lowest index among equals.
-        keys = list(zip(fits, range(len(fits))))
-        offspring: list = [list(population[min(keys)[1]])]
-        pending: list = [None]  # per offspring, its pending (position, test)
-        while len(offspring) < POPULATION_SIZE:
-            i = _tournament_min(rng, keys, TOURNAMENT_SIZE)
-            j = _tournament_min(rng, keys, TOURNAMENT_SIZE)
-            if rng.random() < WTS_CROSSOVER_P:
-                c1, c2 = _suite_crossover(population[i], population[j], rng)
-            else:
-                c1, c2 = list(population[i]), list(population[j])
-            for child in (c1, c2):
-                member = _mutate_suite(child, tests, problem, rng)
-                if len(offspring) < POPULATION_SIZE:
-                    offspring.append(child)
-                    pending.append(member)
-        for suite, member in zip(offspring, pending):
-            if member is not None:
-                i, test = member
-                suite[i] = row_of(test)
-                if suite[i] is None:
-                    return run.finish()
-        # Plus-selection: parents and offspring compete for the next round.
-        pool = population + offspring
-        pool_fits = fits + _suite_scores(table, offspring)
-        order = sorted(range(len(pool)), key=lambda i: (pool_fits[i], i))
-        keep = order[:POPULATION_SIZE]
-        population = [pool[i] for i in keep]
-        fits = [pool_fits[i] for i in keep]
+        while not run.over:
+            # (fitness, index) keys: the tournaments and the elite take the
+            # lowest fitness, and the lowest index among equals.
+            keys = list(zip(fits, range(len(fits))))
+            offspring: list = [list(population[min(keys)[1]])]
+            while len(offspring) < POPULATION_SIZE:
+                i = _tournament_min(rng, keys, TOURNAMENT_SIZE)
+                j = _tournament_min(rng, keys, TOURNAMENT_SIZE)
+                if rng.random() < WTS_CROSSOVER_P:
+                    c1, c2 = _suite_crossover(population[i], population[j], rng)
+                else:
+                    c1, c2 = list(population[i]), list(population[j])
+                for child in (c1, c2):
+                    # The second child of the last pair is still mutated,
+                    # which draws from rng, but it is never kept or run.
+                    member = _mutate_suite(child, tests, problem, rng)
+                    if len(offspring) < POPULATION_SIZE:
+                        if member is not None:
+                            k, test = member
+                            child[k] = row_of(test)
+                        offspring.append(child)
+            # Plus-selection: parents and offspring compete for the next round.
+            pool = population + offspring
+            pool_fits = fits + _suite_scores(table, offspring)
+            order = sorted(range(len(pool)), key=lambda i: (pool_fits[i], i))
+            keep = order[:POPULATION_SIZE]
+            population = [pool[i] for i in keep]
+            fits = [pool_fits[i] for i in keep]
+    except BudgetExhaustedError:
+        pass
     return run.finish()
 
 
@@ -524,8 +515,8 @@ def _suite_crossover(p1: list, p2: list, rng):
 
 def _mutate_suite(suite: list, tests: list, problem, rng):
     """Add a test, remove one or mutate one, in place. Returns the member
-    added or changed as (position, test): its slot holds no row until the
-    test runs. Returns None when no member is pending."""
+    added or changed as (position, test), its slot left as None for the
+    caller to fill with the test's row; None when no member is new."""
     roll = rng.random()
     if roll < SUITE_ADD_P:
         if len(suite) < WTS_MAX_SUITE_SIZE:

@@ -17,6 +17,7 @@ import hashlib
 import random
 import statistics
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
 from multiprocessing import get_context
 from pathlib import Path
@@ -69,11 +70,12 @@ class ExperimentPlan:
     plateau and deceptive landscapes, ``INFEASIBLE_GRID`` for the infeasible
     one, and ``(0,)`` for a subject. Each parameter makes one instance: a
     subject, or a landscape whose inputs range over ``[0, DEFAULT_RANGE]``.
-    ``params`` and ``algorithms`` are stored as tuples, whatever sequence
-    was given. Every value's type and range are checked when the plan is
-    built, each instance parameter by :meth:`cell_is_valid`, so a plan that
-    exists can run every cell and writes what it was given. Each error
-    message starts with the field at fault, as in ``budget: must be >= 0``.
+    ``params`` and ``algorithms`` are stored as tuples, whatever iterable
+    was given; a string or bytes is refused, not split. Every value's type
+    and range are checked when the plan is built, each instance parameter by
+    :meth:`cell_is_valid`, so a plan that exists can run every cell and
+    writes what it was given. Each error message starts with the field at
+    fault, as in ``budget: must be >= 0``.
     """
 
     family: str
@@ -96,7 +98,10 @@ class ExperimentPlan:
                 grid = INFEASIBLE_GRID if self.family == INFEASIBLE else Z_GRID
             object.__setattr__(self, "params", grid)
         for name in ("algorithms", "params"):
-            values = tuple(getattr(self, name))
+            values = getattr(self, name)
+            if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
+                raise TypeError(f"{name}: must be a list of values, got {values!r}")
+            values = tuple(values)
             object.__setattr__(self, name, values)
             if not values:
                 raise ValueError(f"{name}: empty list")

@@ -66,6 +66,7 @@ class ArtificialProblem:
         self.r = r
         self.infeasible_count = infeasible_count
         self.target_count = len(optima) + self.infeasible_count
+        self.test_count = self.target_count * (r + 1)
         self.input_specs = (InputSpec(0, r),)
         self._plateau_h = rho(0.1 * r)
         self._infeasible_h = rho(1.0)

@@ -451,6 +451,7 @@ class SutProblem:
         self.branch_site_count = len(d.branches)
         self.target_count = self.statement_count + 2 * self.branch_site_count
         self.input_specs = d.input_specs
+        self.test_count = math.prod(spec.high - spec.low + 1 for spec in d.input_specs)
         self._bounds = tuple((spec.low, spec.high) for spec in d.input_specs)
 
     def target_names(self) -> list:

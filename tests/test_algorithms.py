@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -22,7 +23,7 @@ from suitesearch.algorithms import (
 )
 from suitesearch.archive import Archive
 from suitesearch.core import TestCase
-from suitesearch.problems import ArtificialProblem, SutProblem
+from suitesearch.problems import ARTIFICIAL_KINDS, SUT_NAMES, ArtificialProblem, SutProblem
 
 ALGORITHMS = {
     "mio": run_mio,
@@ -30,6 +31,10 @@ ALGORITHMS = {
     "wts": run_wts,
     "random": run_random,
 }
+# sha256 of every evaluated test, covered_targets, coverage_sum.hex(), suite
+# and evaluations of the WTS runs of
+# TestWtsExecution.test_evaluation_sequence_pinned.
+WTS_SEQUENCE_DIGEST = "a4924f70df06641fa91b62604001602be03834089fe59b67165bc229bae92a9a"
 
 
 class ScriptedRandom:
@@ -454,6 +459,60 @@ class TestWtsExecution:
         result = run_wts(problem, 400, random.Random(5))
         assert len(executed) == len(set(executed))
         assert result.evaluations == len(set(executed))
+
+    def test_ends_once_every_test_has_run(self):
+        # 11 targets x 4 inputs make 44 distinct tests, and target 10 is
+        # infeasible: only having run every test can end the run before its
+        # budget of 100. The bound on draws turns a hang into a failure.
+        problem = ArtificialProblem(
+            "infeasible", (0, 1, 2) + (0,) * 7, r=3, infeasible_count=1
+        )
+        draws = 0
+        random_test = problem.random_test
+
+        def bounded_random_test(rng):
+            nonlocal draws
+            draws += 1
+            if draws > 10_000:
+                raise RuntimeError("WTS still drawing tests after every test ran")
+            return random_test(rng)
+
+        problem.random_test = bounded_random_test
+        result = run_wts(problem, 100, random.Random(1))
+        assert result.evaluations == problem.test_count == 44
+        assert len(result.covered_targets) == 10
+
+    def test_evaluation_sequence_pinned(self):
+        # The golden pins hash final CSV rows only; this pins the order in
+        # which WTS runs its tests. Budgets 1 to 400 end a run inside the
+        # first suite or the initial population, which draws about 1275
+        # tests; budget 2000 reaches the generations, and three of those
+        # runs end on full coverage partway through one.
+        digest = hashlib.sha256()
+        cases = [
+            (ArtificialProblem.random_instance(kind, random.Random(seed), z), budget, seed)
+            for kind in ARTIFICIAL_KINDS
+            for z in (1, 5)
+            for budget in (1, 7, 60, 400, 2000)
+            for seed in (0, 1)
+        ] + [(SutProblem(name), budget, 0) for name in SUT_NAMES for budget in (300, 2000)]
+        for problem, budget, seed in cases:
+            executed = []
+            evaluate = problem.evaluate
+
+            def recording_evaluate(test):
+                executed.append(test)
+                return evaluate(test)
+
+            problem.evaluate = recording_evaluate
+            result = run_wts(problem, budget, random.Random(seed))
+            line = (
+                f"{executed!r} {result.covered_targets!r} {result.coverage_sum.hex()} "
+                f"{result.suite!r} {result.evaluations}\n"
+            )
+            digest.update(line.encode())
+        assert len(cases) == 86
+        assert digest.hexdigest() == WTS_SEQUENCE_DIGEST
 
 
 @st.composite

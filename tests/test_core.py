@@ -91,7 +91,7 @@ def _step_run(cap, used=0):
     ``used`` of its ``cap`` evaluations already spent."""
     run = _Run(ArtificialProblem("gradient", (500,), r=1000), cap)
     run.used = used
-    run.over = run.spent()
+    run.over = run.used >= run.cap
     return run
 
 
@@ -112,7 +112,7 @@ class TestBudget:
         assert not run.over
         run.evaluate(MISS, 10)
         assert run.used == 1000
-        assert run.over and run.spent()
+        assert run.over and run.used >= run.cap
 
     def test_overdraw_raises(self):
         run = _step_run(1000, used=1000)
@@ -131,7 +131,7 @@ class TestBudget:
     def test_covering_every_target_ends_the_run(self):
         run = _step_run(1000)
         run.evaluate(TestCase(0, (500,)), 10)
-        assert run.over and not run.spent()
+        assert run.over and not run.used >= run.cap
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError, match="budget must be non-negative"):

@@ -142,6 +142,24 @@ class TestRunPlan:
         with pytest.raises(TypeError, match=rf"^{field}: must be an int, got "):
             small_plan(algorithms=("random",), **bad)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(algorithms="random"),
+            dict(algorithms=b"random"),
+            dict(algorithms=None),
+            dict(params="13"),
+            dict(params=b"ab"),
+            dict(params=5),
+        ],
+    )
+    def test_plan_list_given_as_one_value_rejected(self, bad):
+        # A string or bytes was split into characters or byte values, and a
+        # lone value failed with an error that named no field.
+        (field,) = bad
+        with pytest.raises(TypeError, match=rf"^{field}: must be a list of values, got "):
+            small_plan(**bad)
+
     @pytest.mark.parametrize("family", ARTIFICIAL_KINDS + SUT_NAMES)
     def test_params_default_to_the_family_grid(self, family):
         # The plan alone states each family's grid; the built-in plans leave

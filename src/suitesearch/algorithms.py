@@ -7,6 +7,7 @@ from the search strategy itself:
 * ``run_mio``: per-target archive populations with scheduled random
   sampling, scheduled capacities, a scheduled number of hill-climbing
   mutations per sampled parent, and feedback-directed target selection.
+  Only MIO schedules the capacity; the others keep one test per target.
 * ``run_mosa``: many-objective GA over single tests with preference
   sorting ahead of non-dominated ranking; offspring come from rank
   tournaments and mutation, without crossover.
@@ -43,9 +44,6 @@ from .core import BudgetExhaustedError, TestCase, randbelow
 DISRUPTIVE_MUTATION_P = 0.01
 # Largest exponent of the +/- 2**i input perturbation.
 MAX_STEP_EXPONENT = 10
-# Per-target population capacity used by the algorithms that do not
-# schedule it (MOSA, WTS, random search share the archive machinery).
-FIXED_ARCHIVE_CAPACITY = 10
 # The fixed setting of MIO, the paper's: each (start, end) parameter moves
 # linearly with the elapsed fraction of the budget until the focus point F
 # and keeps its end value after it. F = 0.5; the random-sampling
@@ -119,10 +117,11 @@ class _Run:
         self.used = 0
         self.over = budget == 0
 
-    def evaluate(self, test: TestCase, capacity: int):
+    def evaluate(self, test: TestCase, capacity: int = 1):
         """Spend one evaluation on ``test``, save it at ``capacity``; return its
-        heuristics, ``{target: h}`` over the non-zero targets. An overdraw
-        raises :class:`BudgetExhaustedError`, which is how WTS stops."""
+        heuristics, ``{target: h}`` over the non-zero targets. Only MIO passes
+        a capacity: MOSA, WTS and random search keep one test per target. An
+        overdraw raises :class:`BudgetExhaustedError`, which is how WTS stops."""
         used = self.used
         if used >= self.cap:
             raise BudgetExhaustedError(f"budget of {self.cap} evaluations exhausted")
@@ -206,7 +205,7 @@ def run_mio(problem, budget: int, rng, fds: bool = True) -> SearchResult:
 def run_random(problem, budget: int, rng) -> SearchResult:
     run = _Run(problem, budget)
     while not run.over:
-        run.evaluate(problem.random_test(rng), FIXED_ARCHIVE_CAPACITY)
+        run.evaluate(problem.random_test(rng))
     return run.finish()
 
 
@@ -243,7 +242,7 @@ def run_mosa(problem, budget: int, rng) -> SearchResult:
         if run.over:
             return run.finish()
         test = problem.random_test(rng)
-        rows[len(tests)] = _dense_row(run.evaluate(test, FIXED_ARCHIVE_CAPACITY), z)
+        rows[len(tests)] = _dense_row(run.evaluate(test), z)
         tests.append(test)
 
     ranks = _mosa_ranks(rows[:POPULATION_SIZE], _uncovered_ids(archive))
@@ -256,7 +255,7 @@ def run_mosa(problem, budget: int, rng) -> SearchResult:
                 if len(tests) >= 2 * POPULATION_SIZE or run.over:
                     break
                 child = mutate(child, problem, rng)
-                rows[len(tests)] = _dense_row(run.evaluate(child, FIXED_ARCHIVE_CAPACITY), z)
+                rows[len(tests)] = _dense_row(run.evaluate(child), z)
                 tests.append(child)
         if run.over:
             break  # the run is over, so nothing would read a last ranking
@@ -434,7 +433,7 @@ def run_wts(problem, budget: int, rng) -> SearchResult:
         nonlocal table
         row = dense.get(test)
         if row is None:
-            h = run.evaluate(test, FIXED_ARCHIVE_CAPACITY)
+            h = run.evaluate(test)
             row = dense[test] = len(tests)
             if row == len(table):
                 table = np.concatenate((table, np.zeros_like(table)))

@@ -6,7 +6,8 @@ target is covered its population collapses to the single best covering test
 and never grows again. Sampling is feedback-directed: each target carries a
 counter of samples since its last improvement, and the least-recently
 improved target is preferred, which starves stagnant (e.g. infeasible)
-targets of search effort.
+targets of search effort. Only MIO samples the archive and schedules the
+capacity; MOSA, WTS and random search keep one test per target.
 """
 
 from __future__ import annotations
@@ -77,9 +78,8 @@ class Archive:
             raise ValueError("archive needs at least one target")
         self.populations = [TargetPopulation() for _ in range(target_count)]
         self._seq = 0
-        # Uncovered, non-empty targets, with positions for O(1) swap-removal.
+        # Uncovered, non-empty targets, in the order sampling reads them.
         self._eligible: list[int] = []
-        self._eligible_pos: dict[int, int] = {}
         self._covered_ids: list[int] = []
         # len(_covered_ids), kept as an attribute because every evaluation reads it.
         self.covered_count = 0
@@ -102,17 +102,6 @@ class Archive:
 
     def covered_targets(self) -> list[int]:
         return list(self._covered_ids)
-
-    def _add_eligible(self, k: int):
-        self._eligible_pos[k] = len(self._eligible)
-        self._eligible.append(k)
-
-    def _remove_eligible(self, k: int):
-        pos = self._eligible_pos.pop(k)
-        last = self._eligible.pop()
-        if last != k:
-            self._eligible[pos] = last
-            self._eligible_pos[last] = pos
 
     # -- save -------------------------------------------------------------
 
@@ -145,7 +134,10 @@ class Archive:
                 else:
                     self._seq += 1
                     if pop.entries:
-                        self._remove_eligible(k)
+                        # Swapped out for the last eligible target, once per run.
+                        eligible = self._eligible
+                        eligible[eligible.index(k)] = eligible[-1]
+                        eligible.pop()
                     pop.entries = [ScoredTest(test, hk, cov_sum, self._seq)]
                     pop.covered = True
                     pop.counter = 0
@@ -161,7 +153,7 @@ class Archive:
                     self._seq += 1
                     if not entries:
                         pop.counter = 0
-                        self._add_eligible(k)
+                        self._eligible.append(k)
                     entries.append(ScoredTest(test, hk, cov_sum, self._seq))
                     pop.worst = None
                 else:
@@ -225,7 +217,7 @@ class Archive:
         """
         if n < 1:
             raise ValueError("capacity must be >= 1")
-        for k in list(self._eligible):
+        for k in self._eligible:
             pop = self.populations[k]
             excess = len(pop.entries) - n
             if excess > 0:

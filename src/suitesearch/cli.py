@@ -138,11 +138,13 @@ def _replicate(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    out = Path(args.out) if args.out else Path(args.raw_csv).with_name("summary.csv")
+    if out.exists() and out.samefile(args.raw_csv):
+        raise CliError(f"{args.raw_csv}: the summary would overwrite its input; pick another --out")
     rows = read_raw_csv(args.raw_csv)
     if not rows:
         raise CliError(f"{args.raw_csv}: no data rows")
     summary = summarize_rows(rows)
-    out = Path(args.out) if args.out else Path(args.raw_csv).with_name("summary.csv")
     write_summary(summary, out)
     print(f"{len(summary)} summary rows -> {out}")
     return 0

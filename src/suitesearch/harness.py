@@ -381,6 +381,8 @@ def read_raw_csv(path) -> list:
                 # fills a short row's missing fields with None.
                 if None in rec or None in rec.values():
                     raise ValueError(f"expected {len(reader.fieldnames)} fields")
+                if int(rec["schema_version"]) != SCHEMA_VERSION:
+                    raise ValueError(f"schema_version must be {SCHEMA_VERSION}")
                 row = RawRun(**{name: parse[name](rec[name]) for name in _RAW_FIELDS})
                 if row.algorithm not in _ALGORITHMS:
                     raise ValueError(

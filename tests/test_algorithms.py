@@ -234,6 +234,82 @@ class TestReproducibility:
         assert a.evaluations != b.evaluations
 
 
+class TestArchiveCapacity:
+    # Every family, with budgets that end some runs in initialization and
+    # let others reach the search.
+    CASES = [
+        (kind, z, budget, seed)
+        for kind in ARTIFICIAL_KINDS
+        for z in (1, 5, 30)
+        for budget in (60, 400)
+        for seed in (0, 1)
+    ] + [
+        (name, None, budget, seed)
+        for name in SUT_NAMES
+        for budget in (60, 400)
+        for seed in (0, 1)
+    ]
+
+    @staticmethod
+    def _runs(monkeypatch):
+        """A runner of one case at a forced capacity (None: the algorithm's
+        own), returning the evaluated tests, the result and the populations
+        of the run's archive."""
+        save = Archive.save
+        forced = saved_to = None
+
+        def forcing_save(archive, test, h, capacity):
+            nonlocal saved_to
+            saved_to = archive
+            return save(archive, test, h, capacity if forced is None else forced)
+
+        monkeypatch.setattr(Archive, "save", forcing_save)
+
+        def run(name, case, capacity=None):
+            nonlocal forced
+            family, z, budget, seed = case
+            if z is None:
+                problem = SutProblem(family)
+            else:
+                problem = ArtificialProblem.random_instance(family, random.Random(seed), z)
+            executed = []
+            evaluate = problem.evaluate
+
+            def recording_evaluate(test):
+                executed.append(test)
+                return evaluate(test)
+
+            problem.evaluate = recording_evaluate
+            forced = capacity
+            r = ALGORITHMS[name](problem, budget, random.Random(seed))
+            result = (r.suite, r.covered_targets, r.coverage_sum.hex(), r.evaluations)
+            return executed, result, saved_to.populations
+
+        return run
+
+    @pytest.mark.parametrize("name", ["mosa", "wts", "random"])
+    def test_non_mio_results_do_not_depend_on_capacity(self, name, monkeypatch):
+        # These never sample the archive, and a save never lowers the best h
+        # an uncovered target stores, so one test per target gives the same
+        # evaluations and results as ten.
+        run = self._runs(monkeypatch)
+        largest = 0
+        for case in self.CASES:
+            own = run(name, case)
+            assert run(name, case, capacity=1)[:2] == own[:2]
+            assert run(name, case, capacity=10)[:2] == own[:2]
+            largest = max([largest] + [len(pop.entries) for pop in own[2]])
+        # And they keep only that one test.
+        assert largest == 1
+
+    def test_mio_results_depend_on_capacity(self, monkeypatch):
+        # MIO samples its parents from the populations, so the check above
+        # would catch an algorithm that reads them.
+        run = self._runs(monkeypatch)
+        differ = [run("mio", case)[:2] != run("mio", case, capacity=10)[:2] for case in self.CASES]
+        assert all(differ)
+
+
 class TestMioBehaviour:
     def test_single_smooth_target_almost_always_covered(self):
         # 100 seeded runs on a one-target gradient instance: nearly all cover.

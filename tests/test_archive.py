@@ -202,8 +202,18 @@ save_op = st.tuples(
 def test_archive_invariants_hold_under_any_save_sequence(ops, capacity):
     archive = Archive(4)
     covered_seen = set()
+    # The eligible targets in sampling order: a target joins on its first
+    # entry and leaves, swapped with the last, when it is covered.
+    eligible = []
     for i, (k, h) in enumerate(ops):
+        was_covered = archive.populations[k].covered
         archive.save(TestCase(k, (i,)), vec(k, h), capacity=capacity)
+        if not was_covered and h >= 1.0 and k in eligible:
+            eligible[eligible.index(k)] = eligible[-1]
+            eligible.pop()
+        elif not was_covered and 0.0 < h < 1.0 and k not in eligible:
+            eligible.append(k)
+        assert archive._eligible == eligible
         total = 0
         for j, pop in enumerate(archive.populations):
             if j in covered_seen:

@@ -261,6 +261,22 @@ class TestStatsCommand:
         raw.write_text("schema_version,family\n")
         assert run_cli("stats", str(raw)) == 2
 
+    @pytest.mark.parametrize("out", ["raw.csv", None], ids=["out_flag", "named_summary"])
+    def test_refuses_to_overwrite_its_input(self, out, tmp_path, capsys):
+        # Summary rows written over the raw rows would leave nothing to
+        # summarize next time.
+        raw = self._raw(tmp_path)
+        if out is None:
+            raw = raw.rename(raw.with_name("summary.csv"))
+            argv = ("stats", str(raw))
+        else:
+            argv = ("stats", str(raw), "--out", str(raw.parent / ".." / raw.parent.name / out))
+        before = raw.read_bytes()
+        capsys.readouterr()
+        assert run_cli(*argv) == 2
+        assert str(raw) in capsys.readouterr().err
+        assert raw.read_bytes() == before
+
     def _raw(self, tmp_path):
         out = tmp_path / "exp"
         assert run_cli(
@@ -297,8 +313,13 @@ class TestStatsCommand:
                 "foo" if column == "algorithm" else value
                 for column, value in zip(RAW_COLUMNS, line.split(","))
             ),
+            # A row of another schema may mean something else.
+            lambda line: ",".join(
+                "7" if column == "schema_version" else value
+                for column, value in zip(RAW_COLUMNS, line.split(","))
+            ),
         ],
-        ids=["short", "long", "zero_feasible_total", "unknown_algorithm"],
+        ids=["short", "long", "zero_feasible_total", "unknown_algorithm", "schema_version"],
     )
     def test_bad_row_names_file_and_line(self, edit, tmp_path, capsys):
         raw = self._raw(tmp_path)

@@ -475,7 +475,8 @@ def run_wts(problem, budget: int, rng) -> SearchResult:
             # Plus-selection: parents and offspring compete for the next round.
             pool = population + offspring
             pool_fits = fits + _suite_scores(table, offspring)
-            order = sorted(range(len(pool)), key=lambda i: (pool_fits[i], i))
+            # A stable sort: equal fitnesses keep their pool order.
+            order = sorted(range(len(pool)), key=pool_fits.__getitem__)
             keep = order[:POPULATION_SIZE]
             population = [pool[i] for i in keep]
             fits = [pool_fits[i] for i in keep]

@@ -3,11 +3,11 @@
 The archive keeps one bounded population per coverage target. Tests enter a
 population only when they have a non-zero heuristic for that target; once a
 target is covered its population collapses to the single best covering test
-and never grows again. Sampling is feedback-directed: each target carries a
-counter of samples since its last improvement, and the least-recently
-improved target is preferred, which starves stagnant (e.g. infeasible)
-targets of search effort. Only MIO samples the archive and schedules the
-capacity; MOSA, WTS and random search keep one test per target.
+and never grows again. Sampling is feedback-directed: each uncovered target
+carries a counter of samples since its last improvement, and the least
+recently improved one is preferred, which starves stagnant (e.g.
+infeasible) targets of search effort. Only MIO samples the archive and
+schedules the capacity; the other algorithms keep one test per target.
 """
 
 from __future__ import annotations
@@ -116,59 +116,49 @@ class Archive:
         heuristic joins a non-covered population when below ``capacity``,
         else replaces the worst entry when not worse than it.
 
-        The per-target counter resets when the population was empty or when
-        the candidate strictly improves on the entry it displaced.
+        Only uncovered targets' counters matter: sampling reads no other, and
+        a covered target stays covered. A counter resets when its population
+        was empty or when the candidate strictly beats the entry it displaced.
         """
-        cov_sum = None
+        cov_sum = sum(h.values())
         pops = self.populations
         for k, hk in h.items():
             pop = pops[k]
+            if pop.covered:
+                if hk >= 1.0 and cov_sum > pop.entries[0].coverage_sum:
+                    self._seq += 1
+                    pop.entries[0] = ScoredTest(test, hk, cov_sum, self._seq)
+                continue
+            entries = pop.entries
             if hk >= 1.0:
-                if cov_sum is None:
-                    cov_sum = sum(h.values())
-                if pop.covered:
-                    if cov_sum > pop.entries[0].coverage_sum:
-                        self._seq += 1
-                        pop.entries[0] = ScoredTest(test, hk, cov_sum, self._seq)
-                        pop.counter = 0
-                else:
-                    self._seq += 1
-                    if pop.entries:
-                        # Swapped out for the last eligible target, once per run.
-                        eligible = self._eligible
-                        eligible[eligible.index(k)] = eligible[-1]
-                        eligible.pop()
-                    pop.entries = [ScoredTest(test, hk, cov_sum, self._seq)]
-                    pop.covered = True
+                self._seq += 1
+                if entries:
+                    # Swapped out for the last eligible target, once per run.
+                    eligible = self._eligible
+                    eligible[eligible.index(k)] = eligible[-1]
+                    eligible.pop()
+                pop.entries = [ScoredTest(test, hk, cov_sum, self._seq)]
+                pop.covered = True
+                self._covered_ids.append(k)
+                self.covered_count += 1
+            elif len(entries) < capacity:
+                self._seq += 1
+                if not entries:
                     pop.counter = 0
-                    self._covered_ids.append(k)
-                    self.covered_count += 1
+                    self._eligible.append(k)
+                entries.append(ScoredTest(test, hk, cov_sum, self._seq))
+                pop.worst = None
             else:
-                if pop.covered:
-                    continue
-                entries = pop.entries
-                if len(entries) < capacity:
-                    if cov_sum is None:
-                        cov_sum = sum(h.values())
+                worst_i = pop.worst
+                if worst_i is None:
+                    worst_i = pop.worst = _worst_index(entries)
+                worst = entries[worst_i]
+                if hk >= worst.h:
                     self._seq += 1
-                    if not entries:
-                        pop.counter = 0
-                        self._eligible.append(k)
-                    entries.append(ScoredTest(test, hk, cov_sum, self._seq))
+                    entries[worst_i] = ScoredTest(test, hk, cov_sum, self._seq)
                     pop.worst = None
-                else:
-                    worst_i = pop.worst
-                    if worst_i is None:
-                        worst_i = pop.worst = _worst_index(entries)
-                    worst = entries[worst_i]
-                    if hk >= worst.h:
-                        if cov_sum is None:
-                            cov_sum = sum(h.values())
-                        self._seq += 1
-                        entries[worst_i] = ScoredTest(test, hk, cov_sum, self._seq)
-                        pop.worst = None
-                        if hk > worst.h:
-                            pop.counter = 0
+                    if hk > worst.h:
+                        pop.counter = 0
 
     # -- sampling ---------------------------------------------------------
 

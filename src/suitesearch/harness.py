@@ -160,6 +160,26 @@ class RawRun:
     suite_size: int
     evaluations: int
 
+    def check(self, budget: float = float("inf")):
+        """Raise ValueError unless one run within ``budget`` evaluations
+        could have made this row."""
+        rules = {
+            "0 <= feasible_covered <= covered <= target_count":
+                0 <= self.feasible_covered <= self.covered <= self.target_count,
+            # The summary divides by feasible_total.
+            "1 <= feasible_total <= target_count": 1 <= self.feasible_total <= self.target_count,
+            "feasible_covered <= feasible_total": self.feasible_covered <= self.feasible_total,
+            "0 <= suite_size <= covered": 0 <= self.suite_size <= self.covered,
+            "covered <= coverage_sum <= target_count":
+                self.covered <= self.coverage_sum <= self.target_count,
+            "0 <= evaluations <= budget": 0 <= self.evaluations <= budget,
+        }
+        values = {**{f.name: getattr(self, f.name) for f in fields(self)}, "budget": budget}
+        for rule, holds in rules.items():
+            if not holds:
+                shown = ", ".join(f"{w}={values[w]}" for w in rule.split() if w in values)
+                raise ValueError(f"{rule} does not hold: {shown}")
+
 
 # raw.csv holds one RawRun per line, after the schema version.
 _RAW_FIELDS = tuple(f.name for f in fields(RawRun))
@@ -198,8 +218,8 @@ def _run_cell(args):
 
     Returns the cell's raw rows and its manifest ``instance`` note: the cell,
     the instance seed and, for a landscape, the drawn optima. A failure is
-    re-raised as a RuntimeError that names the cell and, for a failed run,
-    the algorithm and its run seed.
+    re-raised as a RuntimeError that names the cell and, for a failed run or
+    a row that fails ``RawRun.check``, the algorithm and its run seed.
     """
     plan, param, rep = args
     cell = f"family={plan.family} param={param} rep={rep}"
@@ -216,27 +236,26 @@ def _run_cell(args):
         run_seed = derive_seed(instance_seed, name)
         try:
             result = run_algorithm(name, problem, plan.budget, random.Random(run_seed), plan)
-        except Exception as exc:
-            raise RuntimeError(
-                f"cell {cell} algorithm={name} seed={run_seed}: {exc!r}"
-            ) from exc
-        feasible_covered = sum(1 for k in result.covered_targets if k in feasible)
-        rows.append(
-            RawRun(
+            row = RawRun(
                 family=plan.family,
                 param=param,
                 algorithm=name,
                 rep=rep,
                 seed=run_seed,
                 covered=len(result.covered_targets),
-                feasible_covered=feasible_covered,
+                feasible_covered=sum(1 for k in result.covered_targets if k in feasible),
                 feasible_total=len(feasible),
                 target_count=problem.target_count,
                 coverage_sum=result.coverage_sum,
                 suite_size=len(result.suite),
                 evaluations=result.evaluations,
             )
-        )
+            row.check(plan.budget)
+        except Exception as exc:
+            raise RuntimeError(
+                f"cell {cell} algorithm={name} seed={run_seed}: {exc!r}"
+            ) from exc
+        rows.append(row)
     note = f"{cell} seed={instance_seed}"
     if plan.family in ARTIFICIAL_KINDS:
         note += f" optima={','.join(str(g) for g in problem.optima)}"
@@ -370,7 +389,7 @@ def write_summary(summary_rows, path):
 
 
 def read_raw_csv(path) -> list:
-    """Raw rows back from disk, for recomputing summaries."""
+    """Raw rows back from disk, each passing ``RawRun.check``, for recomputing summaries."""
     parse = get_type_hints(RawRun)  # field name -> str, int or float
     rows = []
     with Path(path).open(newline="") as fh:
@@ -388,9 +407,7 @@ def read_raw_csv(path) -> list:
                     raise ValueError(
                         f"unknown algorithm {row.algorithm!r}; pick from {ALGORITHMS}"
                     )
-                # The summary divides by it.
-                if row.feasible_total < 1:
-                    raise ValueError(f"feasible_total must be >= 1, got {row.feasible_total}")
+                row.check()
                 rows.append(row)
             except KeyError as exc:
                 raise ValueError(f"{path}: no column {exc.args[0]!r}") from None

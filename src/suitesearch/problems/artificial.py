@@ -3,17 +3,16 @@
 Each instance has ``z`` independent targets. A test consists of a target id
 and one integer input ``x`` in ``[0, r]``; target ``k`` can only be covered
 by a test with ``id == k``, by hitting that target's randomly drawn optimum
-exactly. The four families differ in the shape of the heuristic around the
-optimum ``g``:
+exactly. Distances map to heuristics through ``rho(d) = 1 / (1 + d)``.
+Every family shares one slope up to the optimum ``g``: for ``x <= g`` the
+heuristic is ``rho(g - x)``. The kind decides what lies above ``g``:
 
-* gradient: a direct slope toward ``g`` from both sides,
-* plateau: a slope for ``x <= g``, a constant mediocre value above,
-* deceptive: a slope for ``x <= g``, and above it a second slope that pulls
-  the search away from ``g`` toward ``r``,
-* infeasible: ten gradient targets plus any number of targets whose
-  heuristic is a constant plateau with no optimum at all.
-
-Distances map to heuristics through ``rho(d) = 1 / (1 + d)``.
+* gradient: the slope falls back down, ``rho(x - g)``,
+* plateau: a constant mediocre value, ``rho(0.1 * r)``,
+* deceptive: a second slope that pulls the search away from ``g`` toward
+  ``r``, ``rho(1 + r - x)``,
+* infeasible: ten gradient targets plus any number of targets with no
+  optimum at all, whose heuristic is ``rho(1)`` for every input.
 """
 
 from __future__ import annotations
@@ -103,22 +102,16 @@ class ArtificialProblem:
             raise ValueError(f"landscape tests take 1 input, got {len(test.inputs)}") from None
         if not 0 <= x <= self.r:
             raise ValueError(f"input {x} outside [0, {self.r}]")
-        kind = self.kind
-        if kind == GRADIENT:
-            g = self.optima[k]
-            d = x - g if x >= g else g - x
-            h = 1.0 / (1.0 + d)
-        elif kind == PLATEAU:
-            g = self.optima[k]
-            h = 1.0 / (1.0 + g - x) if g >= x else self._plateau_h
-        elif kind == DECEPTIVE:
-            g = self.optima[k]
-            h = 1.0 / (1.0 + g - x) if g >= x else 1.0 / (2.0 + self.r - x)
-        else:  # infeasible
-            if k >= len(self.optima):
-                h = self._infeasible_h
-            else:
-                g = self.optima[k]
-                d = x - g if x >= g else g - x
-                h = 1.0 / (1.0 + d)
+        if k >= len(self.optima):
+            return {k: self._infeasible_h}
+        # rho(d) written out: integer operands below 2**53 sum exactly in any order.
+        g = self.optima[k]
+        if x <= g:
+            h = 1.0 / (1.0 + g - x)
+        elif self.kind == PLATEAU:
+            h = self._plateau_h
+        elif self.kind == DECEPTIVE:
+            h = 1.0 / (2.0 + self.r - x)
+        else:
+            h = 1.0 / (1.0 + x - g)
         return {k: h}

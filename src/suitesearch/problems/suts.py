@@ -30,7 +30,7 @@ whatever executed before the fault.
 from __future__ import annotations
 
 import math
-from itertools import compress
+from itertools import compress, count
 
 from .base import InputSpec
 from ..core import TestCase
@@ -490,14 +490,12 @@ class SutProblem:
         # Keys in ascending target id (statements, then each site's true and
         # false outcome): Archive.save stamps and sums the values in this
         # order.
-        k = self.statement_count
-        h = dict.fromkeys(compress(range(k), rec.stmt_hits), 1.0)
-        for taken, d in zip(rec.taken, rec.dist):
+        h = dict.fromkeys(compress(range(self.statement_count), rec.stmt_hits), 1.0)
+        for k, taken, d in zip(count(self.statement_count), rec.taken, rec.dist):
             if taken:
                 h[k] = 1.0
             elif d is not None:
                 h[k] = 1.0 / (1.0 + d)
-            k += 1
         return h
 
     def manifest(self) -> dict:

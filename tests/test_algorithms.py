@@ -332,6 +332,57 @@ class TestMioBehaviour:
             without.covered_targets, without.coverage_sum
         )
 
+    def test_counters_of_covered_targets_are_never_read(self, monkeypatch):
+        # FDS picks among uncovered targets only, and a covered target stays
+        # covered. So scrambling every covered target's counter after each
+        # save leaves the run unchanged, while scrambling the uncovered ones
+        # changes some run.
+        save = Archive.save
+        scramble = None
+        noise = random.Random(0)
+
+        def scrambling_save(archive, test, h, capacity):
+            save(archive, test, h, capacity)
+            if scramble is not None:
+                for pop in archive.populations:
+                    if pop.covered == scramble:
+                        pop.counter = noise.randrange(50)
+
+        monkeypatch.setattr(Archive, "save", scrambling_save)
+
+        def run(case, scrambled):
+            nonlocal scramble
+            family, z, budget, seed = case
+            if z is None:
+                problem = SutProblem(family)
+            else:
+                problem = ArtificialProblem.random_instance(family, random.Random(seed), z)
+            executed = []
+            evaluate = problem.evaluate
+
+            def recording_evaluate(test):
+                executed.append(test)
+                return evaluate(test)
+
+            problem.evaluate = recording_evaluate
+            scramble = scrambled
+            r = run_mio(problem, budget, random.Random(seed))
+            return executed, (r.suite, r.covered_targets, r.coverage_sum.hex(), r.evaluations)
+
+        cases = [
+            (kind, z, budget, seed)
+            for kind in ARTIFICIAL_KINDS
+            for z in (1, 5, 30)
+            for budget in (400, 2000)
+            for seed in (0, 1)
+        ] + [(name, None, 1500, seed) for name in SUT_NAMES for seed in (0, 1)]
+        changed = 0
+        for case in cases:
+            own = run(case, None)
+            assert run(case, True) == own, case
+            changed += run(case, False) != own
+        assert changed > 0
+
     def test_suite_contains_only_covering_tests(self):
         problem = small_problem(13, z=6)
         result = run_mio(problem, 800, random.Random(5))

@@ -318,8 +318,20 @@ class TestStatsCommand:
                 "7" if column == "schema_version" else value
                 for column, value in zip(RAW_COLUMNS, line.split(","))
             ),
+            # No run covers more targets than its instance has.
+            lambda line: ",".join(
+                "99" if column == "covered" else value
+                for column, value in zip(RAW_COLUMNS, line.split(","))
+            ),
+            lambda line: ",".join(
+                "-4" if column == "suite_size" else value
+                for column, value in zip(RAW_COLUMNS, line.split(","))
+            ),
         ],
-        ids=["short", "long", "zero_feasible_total", "unknown_algorithm", "schema_version"],
+        ids=[
+            "short", "long", "zero_feasible_total", "unknown_algorithm", "schema_version",
+            "covered_above_targets", "negative_suite_size",
+        ],
     )
     def test_bad_row_names_file_and_line(self, edit, tmp_path, capsys):
         raw = self._raw(tmp_path)

@@ -204,6 +204,26 @@ class TestCellFailures:
             assert part in message
 
     @pytest.mark.parametrize("workers", [1, 2])
+    def test_impossible_result_fails_its_cell(self, workers, monkeypatch):
+        real = harness.run_algorithm
+
+        def overdrawn(name, problem, budget, rng, plan):
+            result = real(name, problem, budget, rng, plan)
+            if name == "wts" and len(problem.optima) == 3:
+                result.evaluations = budget + 1
+            return result
+
+        monkeypatch.setattr(harness, "run_algorithm", overdrawn)
+        plan = small_plan(algorithms=("mio", "wts"), repetitions=1)
+        seed = derive_seed(derive_seed(7, "gradient", 3, 1000, 0), "wts")
+        with pytest.raises(RuntimeError) as info:
+            run_plan(plan, workers=workers)
+        message = str(info.value)
+        for part in ("family=gradient", "param=3", "rep=0", "algorithm=wts",
+                     f"seed={seed}", "evaluations=61", "budget=60"):
+            assert part in message
+
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_instance_names_cell(self, workers, monkeypatch):
         def broken(family, param, rng):
             raise ValueError("no instance")

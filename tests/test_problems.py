@@ -100,6 +100,32 @@ class TestArtificialLandscapes:
         p = make("infeasible", tuple(range(10)), infeasible_count=1)
         assert all(p.evaluate(TestCase(10, (x,)))[10] < 1.0 for x in range(1001))
 
+    @pytest.mark.parametrize("kind", ARTIFICIAL_KINDS)
+    @pytest.mark.parametrize("r", [1, 2, 7, 60, 1000])
+    def test_every_value_matches_the_docstring(self, kind, r):
+        # The module docstring, read literally: a slope up to g for every
+        # kind; above g gradient slopes back down, plateau is flat at
+        # rho(0.1 * r) and deceptive rises toward r; infeasible targets sit
+        # at rho(1) and the infeasible kind's feasible ones are gradient's.
+        def reference(p, k, x):
+            if k >= len(p.optima):
+                return rho(1.0)
+            g = p.optima[k]
+            if kind in ("gradient", "infeasible"):
+                return rho(abs(x - g))
+            if x <= g:
+                return rho(g - x)
+            if kind == "plateau":
+                return rho(0.1 * r)
+            return rho(1 + r - x)
+
+        rng = random.Random(r)
+        for z in (1, 3, 6):
+            p = ArtificialProblem.random_instance(kind, rng, z, r=r)
+            for k in range(p.target_count):
+                for x in range(r + 1):
+                    assert p.evaluate(TestCase(k, (x,))) == {k: reference(p, k, x)}, (k, x)
+
     def test_evaluation_is_pure(self):
         p = ArtificialProblem.random_instance("plateau", random.Random(5), z=4)
         t = TestCase(2, (123,))

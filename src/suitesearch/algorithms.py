@@ -58,8 +58,6 @@ POPULATION_SIZE = 50
 TOURNAMENT_SIZE = 10
 WTS_MAX_SUITE_SIZE = 50
 WTS_CROSSOVER_P = 0.7
-# Rows of WTS's row table before its first doubling.
-_WTS_INITIAL_ROWS = 256
 # WTS suite mutation: add a test, remove one, or (the remaining third)
 # mutate one.
 SUITE_ADD_P = 1.0 / 3.0
@@ -214,9 +212,10 @@ def run_random(problem, budget: int, rng) -> SearchResult:
 # ---------------------------------------------------------------------------
 
 
-def _dense_row(h: dict, z: int) -> np.ndarray:
-    """The heuristics ``h`` of a problem with ``z`` targets as one float32
-    row, zero where ``h`` has no entry.
+def _dense_row(h: dict, row: np.ndarray):
+    """Write the heuristics ``h`` into the float32 ``row``, one entry per
+    target, zero where ``h`` has no entry; MOSA reuses rows, so every entry
+    is written.
 
     MOSA ranks and WTS scores suites on these rows, and the pinned outputs
     were produced by float32 comparisons: values closer than float32
@@ -224,10 +223,9 @@ def _dense_row(h: dict, z: int) -> np.ndarray:
     breaks such ties differently and changes results (the subject outputs
     pinned in bench/pins.json no longer match).
     """
-    row = np.zeros(z, dtype=np.float32)
+    row.fill(0.0)
     for k, v in h.items():
         row[k] = v
-    return row
 
 
 def run_mosa(problem, budget: int, rng) -> SearchResult:
@@ -242,7 +240,7 @@ def run_mosa(problem, budget: int, rng) -> SearchResult:
         if run.over:
             return run.finish()
         test = problem.random_test(rng)
-        rows[len(tests)] = _dense_row(run.evaluate(test), z)
+        _dense_row(run.evaluate(test), rows[len(tests)])
         tests.append(test)
 
     ranks = _mosa_ranks(rows[:POPULATION_SIZE], _uncovered_ids(archive))
@@ -255,7 +253,7 @@ def run_mosa(problem, budget: int, rng) -> SearchResult:
                 if len(tests) >= 2 * POPULATION_SIZE or run.over:
                     break
                 child = mutate(child, problem, rng)
-                rows[len(tests)] = _dense_row(run.evaluate(child), z)
+                _dense_row(run.evaluate(child), rows[len(tests)])
                 tests.append(child)
         if run.over:
             break  # the run is over, so nothing would read a last ranking
@@ -388,9 +386,9 @@ def _crowding(matrix: np.ndarray, rank: np.ndarray) -> np.ndarray:
     cols = np.arange(vals.shape[1])
     v = vals[order, cols]
     sorted_rank = np.sort(rank)
-    boundary = sorted_rank[1:] != sorted_rank[:-1]
-    first = np.concatenate(([True], boundary))
-    last = np.concatenate((boundary, [True]))
+    first = np.ones(len(rank), dtype=bool)
+    first[1:] = sorted_rank[1:] != sorted_rank[:-1]
+    last = np.roll(first, -1)  # the next row starts a front, or none follows
     segment = np.cumsum(first) - 1
     lo = v[first][segment]
     span = v[last][segment] - lo
@@ -413,9 +411,9 @@ def run_wts(problem, budget: int, rng) -> SearchResult:
     """Whole-suite GA.
 
     Every executed test's dense heuristic row is written once into a
-    run-wide float32 row table, which doubles whenever it fills; ``dense``
-    maps each executed test to its row number, which keeps a structurally
-    equal test from being executed twice. A suite is a list of row numbers,
+    run-wide float32 row table of one row per evaluation; ``dense`` maps
+    each executed test to its row number, which keeps a structurally equal
+    test from being executed twice. A suite is a list of row numbers,
     and each new test runs as soon as its suite is made. The initial
     population, and then each generation's offspring, are scored together
     by :func:`_suite_scores`. An exhausted budget ends the run; as no test
@@ -426,18 +424,15 @@ def run_wts(problem, budget: int, rng) -> SearchResult:
     run.cap = min(run.cap, problem.test_count)
     tests: list = []  # row number -> test
     dense: dict = {}  # test -> row number, filled once per executed test
-    table = np.zeros((_WTS_INITIAL_ROWS, run.z), dtype=np.float32)
+    table = np.zeros((run.cap, run.z), dtype=np.float32)
 
     def row_of(test: TestCase) -> int:
         """Row number of ``test``, executing it first when it is new."""
-        nonlocal table
         row = dense.get(test)
         if row is None:
             h = run.evaluate(test)
             row = dense[test] = len(tests)
-            if row == len(table):
-                table = np.concatenate((table, np.zeros_like(table)))
-            table[row] = _dense_row(h, run.z)
+            _dense_row(h, table[row])
             tests.append(test)
         return row
 

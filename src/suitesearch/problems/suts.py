@@ -10,12 +10,13 @@ its predicate was reached but the outcome never taken, where ``d`` is the
 branch distance of that outcome at the latest evaluation of the predicate,
 and 0 when the predicate was never reached.
 
-Probes name their target by an integer slot constant. Each constant
-declares its own target at import, so the order in which a subject's slot
-constants are declared is its target order: statement ``i`` is slot ``i``
-of the recorder's statement list, and branch site ``j`` owns slots ``2j``
-(true) and ``2j + 1`` (false). These declarations are the one source of
-the target names and their order.
+Probes name their target by an integer slot constant, and a slot is its
+target's id. Each constant declares its own target at import, so the order
+in which a subject's slot constants are declared is its target order: a
+subject declares its ``S`` statements before its first branch site,
+statement ``i`` is slot ``i``, and branch site ``j`` owns slots ``S + 2j``
+(true) and ``S + 2j + 1`` (false). These declarations are the one source
+of the target names and their order.
 
 A loop's statement probe runs once, before its first iteration: a hit flag
 is all a statement records, and every loop body here runs at least once.
@@ -30,7 +31,6 @@ whatever executed before the fault.
 from __future__ import annotations
 
 import math
-from itertools import compress, count
 
 from .base import InputSpec
 from ..core import TestCase
@@ -49,8 +49,9 @@ class _Subject:
     """One subject: its run function, its named integer inputs, and its
     statements and branch sites in declaration order.
 
-    Each ``stmt`` or ``site`` call declares one target and returns its slot.
-    ``kappa`` holds one offset per outcome slot, the site's for both.
+    Each ``stmt`` or ``site`` call declares one target and returns its slot,
+    the target's id; every statement comes before the first site. ``kappa``
+    holds one offset per branch outcome, the site's for both.
     """
 
     def __init__(self, run, input_names: tuple, input_specs: tuple):
@@ -63,43 +64,47 @@ class _Subject:
 
     def stmt(self, name: str) -> int:
         """Slot ``i`` of new statement ``i``."""
+        if self.branches:
+            raise ValueError(f"statement {name!r} declared after a branch site")
         self.statements += (name,)
         return len(self.statements) - 1
 
     def site(self, name: str, kappa: float = KAPPA_INT) -> int:
-        """Slot ``2j`` of new branch site ``j``; its false outcome is ``2j + 1``."""
+        """Slot ``S + 2j`` of new branch site ``j`` after ``S`` statements; its
+        false outcome is the next slot."""
         self.branches += (name,)
         self.kappa += (kappa, kappa)
-        return len(self.kappa) - 2
+        return len(self.statements) + len(self.kappa) - 2
 
 
 class Recorder:
     """Per-execution coverage state for one subject run.
 
-    ``stmt_hits[i]`` is set when statement ``i`` runs. For the outcome in
-    slot ``k`` (``2j + side`` of branch site ``j``), ``taken[k]`` is set
-    once it is taken, and ``dist[k]`` holds its branch distance from the
-    latest evaluation that did not take it (None until there is one).
+    Slot ``k`` is target ``k``: statement ``i`` is slot ``i``, and the
+    outcomes of branch site ``j`` are slots ``S + 2j`` (true) and
+    ``S + 2j + 1`` (false) after ``S`` statements. ``taken[k]`` is set once
+    statement ``k`` runs or outcome ``k`` is taken, and for an outcome
+    ``dist[k]`` holds its branch distance from the latest evaluation that
+    did not take it (None until there is one; always None for a statement).
 
-    Each comparison method takes the site's slot ``2j`` and its two
-    operands, returns the Python comparison, flags the side taken and
-    stores the other side's distance, which is positive; the taken side's
-    distance is 0 and is not stored. These methods are the one statement
-    of the distance rules; ``a > b`` is ``lt`` with its operands swapped.
-    ``kappa[k]`` is the site's offset for strict comparisons, the same for
-    both of its slots.
+    Each comparison method takes the site's true slot and its two operands,
+    returns the Python comparison, flags the side taken and stores the
+    other side's distance, which is positive; the taken side's distance is
+    0 and is not stored. These methods are the one statement of the
+    distance rules; ``a > b`` is ``lt`` with its operands swapped.
+    ``kappa`` has one entry per target: an outcome's is its site's offset
+    for strict comparisons, and a statement's is never read.
     """
 
-    __slots__ = ("stmt_hits", "taken", "dist", "kappa")
+    __slots__ = ("taken", "dist", "kappa")
 
-    def __init__(self, statement_count: int, kappa: tuple):
-        self.stmt_hits = [False] * statement_count
+    def __init__(self, kappa: tuple):
         self.taken = [False] * len(kappa)
         self.dist = [None] * len(kappa)
         self.kappa = kappa
 
     def stmt(self, i: int):
-        self.stmt_hits[i] = True
+        self.taken[i] = True
 
     def eq(self, k: int, lhs, rhs) -> bool:
         if lhs == rhs:
@@ -436,8 +441,8 @@ class SutProblem:
     """Coverage targets and heuristics for one instrumented subject.
 
     Targets are ordered statements first, then (true, false) outcome pairs
-    per branch site. All tests call the single subject, so ``id`` is
-    always 0.
+    per branch site, the subject's probe slots. All tests call the single
+    subject, so ``id`` is always 0.
     """
 
     def __init__(self, name: str):
@@ -450,9 +455,10 @@ class SutProblem:
         self.statement_count = len(d.statements)
         self.branch_site_count = len(d.branches)
         self.target_count = self.statement_count + 2 * self.branch_site_count
+        # The recorder's offset per target; statements have none.
+        self._offsets = (None,) * self.statement_count + self._kappa
         self.input_specs = d.input_specs
         self.test_count = math.prod(spec.high - spec.low + 1 for spec in d.input_specs)
-        self._bounds = tuple((spec.low, spec.high) for spec in d.input_specs)
 
     def target_names(self) -> list:
         names = [f"stmt:{s}" for s in self._definition.statements]
@@ -470,7 +476,7 @@ class SutProblem:
 
     def execute(self, test: TestCase):
         """Run the subject, returning (recorder, result-or-None, fault-or-None)."""
-        rec = Recorder(self.statement_count, self._kappa)
+        rec = Recorder(self._offsets)
         try:
             value = self._definition.run(rec, *test.inputs)
             return rec, value, None
@@ -480,23 +486,20 @@ class SutProblem:
     def evaluate(self, test: TestCase) -> dict:
         if test.id != 0:
             raise ValueError("subject tests must have id 0")
-        inputs = test.inputs
-        if len(inputs) != len(self._bounds):
-            raise ValueError(f"{self.name} takes {len(self._bounds)} inputs, got {len(inputs)}")
-        for v, (low, high) in zip(inputs, self._bounds):
-            if not low <= v <= high:
-                raise ValueError(f"input {v} outside [{low}, {high}]")
+        inputs, specs = test.inputs, self.input_specs
+        if len(inputs) != len(specs):
+            raise ValueError(f"{self.name} takes {len(specs)} inputs, got {len(inputs)}")
+        for v, spec in zip(inputs, specs):
+            if not spec.low <= v <= spec.high:
+                raise ValueError(f"input {v} outside [{spec.low}, {spec.high}]")
         rec, _, _ = self.execute(test)
-        # Keys in ascending target id (statements, then each site's true and
-        # false outcome): Archive.save stamps and sums the values in this
-        # order.
-        h = dict.fromkeys(compress(range(self.statement_count), rec.stmt_hits), 1.0)
-        for k, taken, d in zip(count(self.statement_count), rec.taken, rec.dist):
-            if taken:
-                h[k] = 1.0
-            elif d is not None:
-                h[k] = 1.0 / (1.0 + d)
-        return h
+        # Keys in ascending target id: Archive.save stamps and sums the
+        # values in this order.
+        return {
+            k: 1.0 if taken else 1.0 / (1.0 + d)
+            for k, (taken, d) in enumerate(zip(rec.taken, rec.dist))
+            if taken or d is not None
+        }
 
     def manifest(self) -> dict:
         ranges = ",".join(

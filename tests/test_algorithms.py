@@ -435,7 +435,9 @@ def _reference_crowding(rows, front, dist):
 
 class TestDenseRow:
     def test_float32_row_round_trip(self):
-        row = _dense_row({2: 0.25}, 4)
+        # A row of ones stands for a reused row: every entry is rewritten.
+        row = np.ones(4, dtype=np.float32)
+        _dense_row({2: 0.25}, row)
         assert row.dtype == np.float32
         assert row.tolist() == [0.0, 0.0, 0.25, 0.0]
 

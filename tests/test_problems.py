@@ -275,7 +275,7 @@ class TestBranchDistances:
     def test_zero_distance_iff_branch_taken(self, op, operands, kappa):
         lhs, rhs = operands
         # Site 1 (slots 2 and 3) next to an untouched site 0.
-        rec = Recorder(0, (KAPPA_INT, KAPPA_INT, kappa, kappa))
+        rec = Recorder((KAPPA_INT, KAPPA_INT, kappa, kappa))
         python_op, probe = COMPARISONS[op]
         outcome = probe(rec, 2, lhs, rhs)
         expected, d_true, d_false = _reference_distances(op, lhs, rhs, kappa)
@@ -289,18 +289,38 @@ class TestBranchDistances:
 
     def test_equality_distance_is_operand_gap(self):
         # Predicate x == 5 evaluated with x = 3: distance 2, heuristic 1/3.
-        rec = Recorder(0, (KAPPA_INT, KAPPA_INT))
+        rec = Recorder((KAPPA_INT, KAPPA_INT))
         assert not rec.eq(0, 3, 5)
         assert rec.dist[0] == 2.0
         assert rho(rec.dist[0]) == pytest.approx(1 / 3)
 
     def test_latest_untaken_distance_kept(self):
-        rec = Recorder(0, (KAPPA_INT, KAPPA_INT))
+        rec = Recorder((KAPPA_INT, KAPPA_INT))
         rec.lt(0, 9, 1)
         rec.lt(0, 4, 1)
         assert rec.dist[0] == 4.0 and not rec.taken[0]
         rec.lt(0, 0, 1)
         assert rec.taken[0] and rec.dist[1] == 1
+
+
+_SUTS_TREE = ast.parse(Path(suts.__file__).read_text())
+
+
+def _declared_slots():
+    """Each slot constant of suts.py -> (``"stmt"`` or ``"site"``, the
+    ``_Subject`` it was declared on, the declared name)."""
+    slots = {}
+    for node in _SUTS_TREE.body:
+        if (
+            isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Attribute)
+            and isinstance(node.value.func.value, ast.Name)
+            and node.value.func.attr in ("stmt", "site")
+        ):
+            func, name = node.value.func, node.value.args[0]
+            slots[node.targets[0].id] = (func.attr, func.value.id, name.value)
+    return slots
 
 
 def _probed_names(subject):
@@ -313,19 +333,10 @@ def _probed_names(subject):
     the subject's own ``_Subject``. Returns the (statement names, branch-site
     names) probed.
     """
-    tree = ast.parse(Path(suts.__file__).read_text())
-    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    slots = {}
-    for node in tree.body:
-        if (
-            isinstance(node, ast.Assign)
-            and isinstance(node.value, ast.Call)
-            and isinstance(node.value.func, ast.Attribute)
-            and isinstance(node.value.func.value, ast.Name)
-            and node.value.func.attr in ("stmt", "site")
-        ):
-            func, name = node.value.func, node.value.args[0]
-            slots[node.targets[0].id] = (func.attr, func.value.id, name.value)
+    functions = {
+        node.name: node for node in _SUTS_TREE.body if isinstance(node, ast.FunctionDef)
+    }
+    slots = _declared_slots()
     definition = suts._DEFINITIONS[subject]
     recorder_comparisons = {probe for _op, probe in COMPARISONS.values()}
     statements, sites = set(), set()
@@ -389,6 +400,29 @@ class TestProbeSlots:
         statements, sites = _probed_names(subject)
         assert statements == set(definition.statements)
         assert sites == set(definition.branches)
+
+    @pytest.mark.parametrize("subject", suts.SUT_NAMES)
+    def test_slots_are_target_ids(self, subject):
+        definition = suts._DEFINITIONS[subject]
+        names = SutProblem(subject).target_names()
+        declared = 0
+        for constant, (kind, builder, name) in _declared_slots().items():
+            if getattr(suts, builder) is not definition:
+                continue
+            declared += 1
+            slot = getattr(suts, constant)
+            if kind == "stmt":
+                assert names[slot] == f"stmt:{name}", constant
+            else:
+                assert names[slot:slot + 2] == [f"branch:{name}:true", f"branch:{name}:false"], constant
+        assert declared == len(definition.statements) + len(definition.branches)
+
+    def test_statement_after_site_rejected(self):
+        subject = suts._Subject(None, (), ())
+        subject.stmt("entry")
+        subject.site("x==0")
+        with pytest.raises(ValueError, match="after a branch site"):
+            subject.stmt("late")
 
     @pytest.mark.parametrize("subject", sorted(TARGET_DIGESTS))
     def test_target_names_distinct_and_pinned(self, subject):

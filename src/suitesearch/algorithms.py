@@ -243,12 +243,14 @@ def run_mosa(problem, budget: int, rng) -> SearchResult:
         _dense_row(run.evaluate(test), rows[len(tests)])
         tests.append(test)
 
-    ranks = _mosa_ranks(rows[:POPULATION_SIZE], _uncovered_ids(archive))
+    # The initial population keeps its order, so each rank goes back to its row.
+    keep, kept_ranks = _mosa_sort(rows[:POPULATION_SIZE], _uncovered_ids(archive), POPULATION_SIZE)
+    ranks = [r for _, r in sorted(zip(keep, kept_ranks))]
 
     while not run.over:
         while len(tests) < 2 * POPULATION_SIZE and not run.over:
-            first = tests[_tournament_min(rng, ranks, TOURNAMENT_SIZE)]
-            second = tests[_tournament_min(rng, ranks, TOURNAMENT_SIZE)]
+            first = tests[_tournament_min(rng, ranks)]
+            second = tests[_tournament_min(rng, ranks)]
             for child in (first, second):
                 if len(tests) >= 2 * POPULATION_SIZE or run.over:
                     break
@@ -267,9 +269,9 @@ def _uncovered_ids(archive: Archive) -> list:
     return [k for k, pop in enumerate(archive.populations) if not pop.covered]
 
 
-def _tournament_min(rng, keys: list, k: int) -> int:
-    """Index of the least of ``min(k, len(keys))`` uniform draws from
-    ``keys``; the earliest draw wins ties.
+def _tournament_min(rng, keys: list) -> int:
+    """Index of the least of ``min(TOURNAMENT_SIZE, len(keys))`` uniform
+    draws from ``keys``; the earliest draw wins ties.
 
     The draws are :func:`randbelow`'s loop written out, because a call per
     draw costs more than the draw: the same values, the same generator
@@ -284,7 +286,7 @@ def _tournament_min(rng, keys: list, k: int) -> int:
     while best >= n:
         best = getrandbits(bits)
     best_key = keys[best]
-    for _ in range(min(k, n) - 1):
+    for _ in range(min(TOURNAMENT_SIZE, n) - 1):
         i = getrandbits(bits)
         while i >= n:
             i = getrandbits(bits)
@@ -292,16 +294,6 @@ def _tournament_min(rng, keys: list, k: int) -> int:
         if key_i < best_key:
             best, best_key = i, key_i
     return best
-
-
-def _mosa_ranks(rows: np.ndarray, uncovered) -> list:
-    """Rank of every row, as :func:`_mosa_sort` ranks them, but with no
-    truncation, crowding or order: the initial population's tournaments
-    read the ranks alone."""
-    matrix = _objectives(rows, uncovered)
-    if not matrix.shape[1]:
-        return [0] * len(rows)
-    return _fronts(matrix, len(matrix)).tolist()
 
 
 def _mosa_sort(rows: np.ndarray, uncovered, keep: int):
@@ -452,8 +444,8 @@ def run_wts(problem, budget: int, rng) -> SearchResult:
             keys = list(zip(fits, range(len(fits))))
             offspring: list = [list(population[min(keys)[1]])]
             while len(offspring) < POPULATION_SIZE:
-                i = _tournament_min(rng, keys, TOURNAMENT_SIZE)
-                j = _tournament_min(rng, keys, TOURNAMENT_SIZE)
+                i = _tournament_min(rng, keys)
+                j = _tournament_min(rng, keys)
                 if rng.random() < WTS_CROSSOVER_P:
                     c1, c2 = _suite_crossover(population[i], population[j], rng)
                 else:

@@ -271,7 +271,8 @@ def run_plan(plan: ExperimentPlan, workers: int = 1) -> ExperimentResult:
     if workers < 1:
         raise ValueError("workers: must be >= 1")
     work = [(plan, param, rep) for param in plan.params for rep in range(plan.repetitions)]
-    if workers > 1 and len(work) > 1:
+    workers = min(workers, len(work))
+    if workers > 1:
         with get_context("fork").Pool(workers) as pool:
             outputs = pool.map(_run_cell, work, chunksize=max(1, len(work) // (workers * 8)))
     else:

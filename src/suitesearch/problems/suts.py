@@ -49,9 +49,10 @@ class _Subject:
     """One subject: its run function, its named integer inputs, and its
     statements and branch sites in declaration order.
 
-    Each ``stmt`` or ``site`` call declares one target and returns its slot,
-    the target's id; every statement comes before the first site. ``kappa``
-    holds one offset per branch outcome, the site's for both.
+    Each ``stmt`` or ``site`` call declares its targets and returns the
+    first one's slot, the target's id; every statement comes before the
+    first site. ``kappa`` holds one entry per target: ``None`` for a
+    statement, and for both outcomes of a branch site the site's offset.
     """
 
     def __init__(self, run, input_names: tuple, input_specs: tuple):
@@ -67,14 +68,15 @@ class _Subject:
         if self.branches:
             raise ValueError(f"statement {name!r} declared after a branch site")
         self.statements += (name,)
-        return len(self.statements) - 1
+        self.kappa += (None,)
+        return len(self.kappa) - 1
 
     def site(self, name: str, kappa: float = KAPPA_INT) -> int:
         """Slot ``S + 2j`` of new branch site ``j`` after ``S`` statements; its
         false outcome is the next slot."""
         self.branches += (name,)
         self.kappa += (kappa, kappa)
-        return len(self.statements) + len(self.kappa) - 2
+        return len(self.kappa) - 2
 
 
 class Recorder:
@@ -451,12 +453,9 @@ class SutProblem:
         d = _DEFINITIONS[name]
         self.name = name
         self._definition = d
-        self._kappa = d.kappa
         self.statement_count = len(d.statements)
         self.branch_site_count = len(d.branches)
-        self.target_count = self.statement_count + 2 * self.branch_site_count
-        # The recorder's offset per target; statements have none.
-        self._offsets = (None,) * self.statement_count + self._kappa
+        self.target_count = len(d.kappa)
         self.input_specs = d.input_specs
         self.test_count = math.prod(spec.high - spec.low + 1 for spec in d.input_specs)
 
@@ -476,7 +475,7 @@ class SutProblem:
 
     def execute(self, test: TestCase):
         """Run the subject, returning (recorder, result-or-None, fault-or-None)."""
-        rec = Recorder(self._offsets)
+        rec = Recorder(self._definition.kappa)
         try:
             value = self._definition.run(rec, *test.inputs)
             return rec, value, None

@@ -33,14 +33,21 @@ def _midranks(pooled: np.ndarray):
     return (np.cumsum(sizes) - (sizes - 1) / 2)[inverse], sizes.tolist()
 
 
-def vargha_delaney_a12(a, b) -> float:
-    """A12 effect size: P(x > y) + 0.5 P(x = y) over all cross pairs."""
+def _u_statistic(a, b):
+    """(U1, n, m, tie-group sizes) of samples ``a`` and ``b``: U1 counts the
+    cross pairs that ``a`` wins, a tie counting half."""
     x = _as_array(a, "a")
     y = _as_array(b, "b")
-    ranks, _ = _midranks(np.concatenate([x, y]))
-    r1 = ranks[: x.size].sum()
-    wins = r1 - x.size * (x.size + 1) / 2.0
-    return wins / (x.size * y.size)
+    n, m = x.size, y.size
+    ranks, tie_sizes = _midranks(np.concatenate([x, y]))
+    r1 = ranks[:n].sum()
+    return r1 - n * (n + 1) / 2.0, n, m, tie_sizes
+
+
+def vargha_delaney_a12(a, b) -> float:
+    """A12 effect size: P(x > y) + 0.5 P(x = y) over all cross pairs."""
+    u1, n, m, _ = _u_statistic(a, b)
+    return u1 / (n * m)
 
 
 @lru_cache(maxsize=None)
@@ -82,12 +89,7 @@ def _approx_two_sided(u: float, n: int, m: int, tie_sizes) -> float:
 
 def mann_whitney_u(a, b) -> float:
     """Two-sided Mann-Whitney U test p-value."""
-    x = _as_array(a, "a")
-    y = _as_array(b, "b")
-    n, m = x.size, y.size
-    ranks, tie_sizes = _midranks(np.concatenate([x, y]))
-    r1 = ranks[:n].sum()
-    u1 = r1 - n * (n + 1) / 2.0
+    u1, n, m, tie_sizes = _u_statistic(a, b)
     if n <= EXACT_LIMIT and m <= EXACT_LIMIT:
         return _exact_two_sided(u1, n, m)
     return _approx_two_sided(u1, n, m, tie_sizes)

@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from suitesearch import algorithms
 from suitesearch.algorithms import (
+    TOURNAMENT_SIZE,
     _crowding,
     _dense_row,
     _fronts,
-    _mosa_ranks,
     _mosa_sort,
     _suite_scores,
     _tournament_min,
@@ -133,19 +133,20 @@ class TestTournament:
                 lambda fits: list(zip(fits, range(len(fits))))
             ),
         ),
-        k=st.integers(1, 12),
         rounds=st.integers(1, 4),
     )
-    def test_matches_randrange_tournament(self, seed, keys, k, rounds):
+    def test_matches_randrange_tournament(self, seed, keys, rounds):
+        # Up to 130 keys: pools both smaller and larger than the tournament.
         rng, twin = random.Random(seed), random.Random(seed)
         for _ in range(rounds):
-            got = _tournament_min(rng, keys, k)
-            assert got == _reference_tournament_min(twin, len(keys), k, keys.__getitem__)
+            got = _tournament_min(rng, keys)
+            want = _reference_tournament_min(twin, len(keys), TOURNAMENT_SIZE, keys.__getitem__)
+            assert got == want
         assert rng.getstate() == twin.getstate()
 
     def test_no_keys_rejected(self):
         with pytest.raises(ValueError):
-            _tournament_min(random.Random(1), [], 10)
+            _tournament_min(random.Random(1), [])
 
 
 def small_problem(seed=1, z=5):
@@ -446,6 +447,16 @@ class TestMosaRanking:
     def _rows(self, rows):
         return np.array(rows, dtype=np.float32)
 
+    def _ranks(self, rows, uncovered):
+        """Every row's rank under :func:`_mosa_sort` keeping all rows, in
+        row order, as MOSA ranks its initial population."""
+        kept, kept_ranks = _mosa_sort(rows, uncovered, len(rows))
+        assert sorted(kept) == list(range(len(rows)))
+        ranks = [None] * len(rows)
+        for i, r in zip(kept, kept_ranks):
+            ranks[i] = r
+        return ranks
+
     def test_preference_front_holds_best_per_uncovered_target(self):
         rows = [
             [0.9, 0.0, 0.1],
@@ -453,7 +464,7 @@ class TestMosaRanking:
             [0.9, 0.1, 0.0],
             [0.1, 0.1, 0.3],
         ]
-        ranks = _mosa_ranks(self._rows(rows), [0, 1, 2])
+        ranks = self._ranks(self._rows(rows), [0, 1, 2])
         for target in range(3):
             best = max(r[target] for r in rows)
             assert any(
@@ -462,19 +473,19 @@ class TestMosaRanking:
 
     def test_preference_includes_ties(self):
         rows = [[0.5], [0.5], [0.2]]
-        ranks = _mosa_ranks(self._rows(rows), [0])
+        ranks = self._ranks(self._rows(rows), [0])
         assert ranks[0] == 0 and ranks[1] == 0
         assert ranks[2] > 0
 
     def test_dominated_zero_rows_rank_last(self):
         rows = self._rows([[0.4, 0.4], [0.0, 0.0]])
-        assert _mosa_ranks(rows, [0, 1]) == [0, 1]
+        assert self._ranks(rows, [0, 1]) == [0, 1]
         assert _mosa_sort(rows, [0, 1], 2) == ([0, 1], [0, 1])
         assert _mosa_sort(rows, [0, 1], 1) == ([0], [0])
 
     def test_no_uncovered_targets_degenerates(self):
         rows = self._rows([[0.1], [0.9]])
-        assert _mosa_ranks(rows, []) == [0, 0]
+        assert self._ranks(rows, []) == [0, 0]
         assert _mosa_sort(rows, [], 2) == ([0, 1], [0, 0])
         assert _mosa_sort(rows, [], 1) == ([0], [0])
 
@@ -506,7 +517,7 @@ class TestMosaRanking:
         kept, kept_ranks = _mosa_sort(matrix, uncovered, keep)
         assert kept == order[:keep]
         assert kept_ranks == [ranks[i] for i in kept]
-        assert _mosa_ranks(matrix, uncovered) == ranks
+        assert self._ranks(matrix, uncovered) == ranks
         if objectives:
             matrix = np.array(objectives, dtype=np.float32)
             assert _crowding(matrix, np.array(ranks)).tolist() == dist
@@ -523,9 +534,11 @@ class TestMosaRanking:
             assert _crowding(matrix, np.zeros(6, dtype=np.intp)).tolist() == dist
 
     def test_preference_invariant_holds_during_search(self, monkeypatch):
-        # Checks every ranking of the live populations of a real run: rank 0
-        # is exactly the rows attaining some reachable uncovered target's
-        # best, and selection keeps as many of them as fit, first.
+        # Checks every ranking of the live populations of a real run, the
+        # initial one included: selection keeps first, at rank 0, as many of
+        # the rows attaining some reachable uncovered target's best as fit.
+        # Keeping every row, as the initial ranking does, rank 0 is exactly
+        # those rows.
         ranked = []
 
         def preferred_rows(rows, uncovered):
@@ -536,16 +549,6 @@ class TestMosaRanking:
                 if best > 0.0:
                     preferred.update(i for i, v in enumerate(column) if v == best)
             return preferred
-
-        def checked_ranks(rows, uncovered):
-            ranks = _mosa_ranks(rows, uncovered)
-            preferred = preferred_rows(rows, uncovered)
-            if preferred:
-                assert {i for i, r in enumerate(ranks) if r == 0} == preferred
-            else:
-                assert ranks == [0] * len(rows)
-            ranked.append(len(preferred) < len(rows))
-            return ranks
 
         def checked_sort(rows, uncovered, keep):
             kept, ranks = _mosa_sort(rows, uncovered, keep)
@@ -560,7 +563,6 @@ class TestMosaRanking:
             ranked.append(len(preferred) < len(rows))
             return kept, ranks
 
-        monkeypatch.setattr(algorithms, "_mosa_ranks", checked_ranks)
         monkeypatch.setattr(algorithms, "_mosa_sort", checked_sort)
         problem = small_problem(17, z=10)
         result = run_mosa(problem, 500, random.Random(11))

@@ -65,6 +65,34 @@ class TestRunPlan:
             run_plan(small_plan(), workers=workers)
         assert not ran
 
+    @pytest.mark.parametrize("workers, forked", [(16, 2), (2, 2), (1, None)])
+    def test_forks_no_more_workers_than_cells(self, workers, forked, monkeypatch):
+        # A fake pool records its size and maps in this process, so no
+        # worker is started; two cells need at most two workers.
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                return [fn(item) for item in items]
+
+        class FakeContext:
+            Pool = SerialPool
+
+        monkeypatch.setattr(harness, "get_context", lambda method: FakeContext)
+        plan = small_plan(params=(1,), repetitions=2)
+        result = run_plan(plan, workers=workers)
+        assert sizes == ([] if forked is None else [forked])
+        assert result.rows == run_plan(plan).rows
+
     def test_algorithms_share_problem_instances(self):
         plan = small_plan()
         result = run_plan(plan)

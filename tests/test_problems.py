@@ -375,8 +375,9 @@ def _probed_names(subject):
     return statements, sites
 
 
-# sha256 over repr(target_names()) and over repr(_kappa) of each subject.
-# Every manifest.txt lists these names, in this order.
+# sha256 over repr(target_names()) and over repr of each subject's branch
+# outcome offsets, the entries of its ``kappa`` after the statements. Every
+# manifest.txt lists these names, in this order.
 TARGET_DIGESTS = {
     "expint": (
         "4e9cfe31450454db0843dfb1cfb27ab911da01d67d07a928ad6d9bbe3361eb07",
@@ -431,8 +432,24 @@ class TestProbeSlots:
         p = SutProblem(subject)
         names = p.target_names()
         assert len(set(names)) == len(names)
-        digests = tuple(hashlib.sha256(repr(v).encode()).hexdigest() for v in (names, p._kappa))
+        offsets = p._definition.kappa[p.statement_count:]
+        digests = tuple(hashlib.sha256(repr(v).encode()).hexdigest() for v in (names, offsets))
         assert digests == TARGET_DIGESTS[subject]
+
+    @pytest.mark.parametrize("subject", suts.SUT_NAMES)
+    def test_kappa_has_one_offset_per_target(self, subject):
+        # None at exactly the statement slots; both outcomes of a site share
+        # the site's offset.
+        p = SutProblem(subject)
+        kappa = p._definition.kappa
+        assert len(kappa) == p.target_count
+        names = p.target_names()
+        assert [k for k, v in enumerate(kappa) if v is None] == [
+            k for k, name in enumerate(names) if name.startswith("stmt:")
+        ]
+        for k in range(p.statement_count, p.target_count, 2):
+            assert kappa[k] in (suts.KAPPA_INT, suts.KAPPA_REAL)
+            assert kappa[k + 1] == kappa[k]
 
 
 class TestTriangle:
